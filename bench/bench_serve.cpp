@@ -8,10 +8,10 @@
 //      re-run through run_serve_sweep at a different thread count and the
 //      fingerprints are required to match byte-for-byte — the --jobs
 //      determinism contract, checked in the artifact itself. The n = 1000
-//      cells run with inner_jobs = 4 (the intra-round pool fans kernels,
-//      chunk products, and decode groups at the paper's largest fleet) and
-//      are additionally re-run at inner_jobs = 1 with the same bar: the
-//      inner axis must be fingerprint-invisible.
+//      cells run with inner_jobs = 4 (cost-only rounds compute no chunk
+//      products, so the engine's inner pool stays idle) and are
+//      additionally re-run at inner_jobs = 1 with the same bar: the inner
+//      axis must be fingerprint-invisible.
 //   2. The amortization cell at k = 40: per-request decode flops for
 //      coalesced serving vs the cold one-job-per-request path (a fresh
 //      engine + decoder per request — what exists without the serving

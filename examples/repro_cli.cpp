@@ -13,9 +13,9 @@
 //   --jobs N         suite worker threads (0 = all hardware threads;
 //                    default 1 — artifacts are byte-identical either way)
 //   --inner-jobs N   intra-round parallelism inside each job's engines
-//                    (kernels, chunk products, decode groups; 0 = all
-//                    hardware threads, default 1 = serial). Composes with
-//                    --jobs and never changes a fingerprint
+//                    (large per-chunk products of the MDS-family engines;
+//                    0 = all hardware threads, default 1 = serial).
+//                    Composes with --jobs and never changes a fingerprint
 //   --app X          single job: logreg|svm|pagerank|graphfilter
 //   --strategy X     single job: s2c2|mds|replication|overdecomp|lt|agc
 //   --trace X        single-job trace profile:
@@ -107,8 +107,8 @@ void print_usage() {
       "  repro_cli                      run the suite, print the job table\n"
       "  repro_cli --report [--out D]   write CSVs + REPRODUCTION.md\n"
       "  repro_cli --app A --strategy S --trace T   run one job\n\n"
-      "flags: --jobs N  --inner-jobs N  --apps v,..  --strategies v,..\n"
-      "       --traces v,..\n"
+      "flags: --jobs N  --inner-jobs N (pool for large chunk products)\n"
+      "       --apps v,..  --strategies v,..  --traces v,..\n"
       "       --predictor P  --workers N  --k K  --stragglers S\n"
       "       --iterations N  --tolerance T  --chunks C  --seed S\n"
       "axes:  apps       logreg|svm|pagerank|graphfilter\n"

@@ -34,10 +34,10 @@
 //   --jobs N         matrix worker threads (0 = all hardware threads;
 //                    default 1 — results are byte-identical either way)
 //   --inner-jobs N   intra-round parallelism inside each cell's engine:
-//                    kernels, per-chunk products, and decode groups fan
-//                    out over an N-way engine pool (0 = all hardware
-//                    threads; default 1 = serial). Composes with --jobs
-//                    and never changes a fingerprint
+//                    an MDS-family engine's per-chunk products fan out
+//                    over an N-way engine pool when each is big enough to
+//                    pay (0 = all hardware threads; default 1 = serial).
+//                    Composes with --jobs and never changes a fingerprint
 //   --axis K=V,V...  restrict/widen a matrix axis; repeatable. Axes:
 //                      engines     s2c2|replication|poly|overdecomp|
 //                                  s2c2-basic|mds|poly-conventional|lt|agc
@@ -109,8 +109,8 @@ void print_usage() {
       "                        --serve-json PATH]           at n=100/250\n"
       "\n"
       "flags: --jobs N (0 = all hardware threads)  --workers N  --k K\n"
-      "       --inner-jobs N (per-engine intra-round parallelism; 0 = all\n"
-      "                       hardware threads, default 1 = serial; bitwise\n"
+      "       --inner-jobs N (per-engine pool for large chunk products; 0 =\n"
+      "                       all hardware threads, default 1 = serial; bitwise\n"
       "                       identical results at any --jobs x --inner-jobs)\n"
       "       --stragglers S  --rounds R  --chunks C  --seed S  --scale F\n"
       "       --predictor P  --functional  --help\n"

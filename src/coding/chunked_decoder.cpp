@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/util/require.h"
-#include "src/util/thread_pool.h"
 
 namespace s2c2::coding {
 
@@ -81,7 +80,7 @@ linalg::Matrix ChunkedDecoder::decode() {
   return out;
 }
 
-void ChunkedDecoder::prepare_decode(linalg::Matrix& out) {
+void ChunkedDecoder::decode_into(linalg::Matrix& out) {
   const std::size_t k = generator_.k();
   S2C2_CHECK(decodable(), "decode() called before coverage reached k");
   out.resize(k * rows_per_chunk_ * num_chunks_, width_);
@@ -96,11 +95,6 @@ void ChunkedDecoder::prepare_decode(linalg::Matrix& out) {
     }
     std::sort(keys_[chunk].begin(), keys_[chunk].end());
   }
-}
-
-void ChunkedDecoder::decode_into(linalg::Matrix& out) {
-  const std::size_t k = generator_.k();
-  prepare_decode(out);
   const std::size_t chunk_cols = rows_per_chunk_ * width_;
 
   // Batched multi-RHS decode: consecutive chunks sharing a responder set
@@ -151,90 +145,6 @@ void ChunkedDecoder::decode_into(linalg::Matrix& out) {
     }
     begin = end;
   }
-}
-
-void ChunkedDecoder::decode_group(const DecodeGroup& group,
-                                  std::size_t chunk_cols,
-                                  linalg::Matrix& out) const {
-  const std::size_t k = generator_.k();
-  const std::size_t rhs_cols = (group.end - group.begin) * chunk_cols;
-  const std::vector<std::size_t>& key = keys_[group.begin];
-
-  // Task-local gather index and solve scratch: the member scratch
-  // (slot_pos_, the context's serial scratch) is not shareable across
-  // concurrent groups. These allocate, which is fine — the parallel
-  // decode is an explicit inner_jobs > 1 opt-in; the inner_jobs = 1
-  // contract runs the serial decode_into and stays heap-free.
-  std::vector<std::size_t> slot_pos(generator_.n(), npos);
-  for (std::size_t chunk = group.begin; chunk < group.end; ++chunk) {
-    const auto& slot = results_[chunk];
-    std::fill(slot_pos.begin(), slot_pos.end(), npos);
-    for (std::size_t j = 0; j < k; ++j) slot_pos[slot[j].first] = j;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t pos = slot_pos[key[j]];
-      S2C2_CHECK(pos != npos, "responder disappeared");
-      std::copy(slot[pos].second, slot[pos].second + chunk_cols,
-                group.rhs.begin() +
-                    static_cast<std::ptrdiff_t>(j * rhs_cols +
-                                                (chunk - group.begin) *
-                                                    chunk_cols));
-    }
-  }
-  DecodeContext::SolveScratch scratch;
-  context_->solve_prepared(group.prepared, group.rhs, rhs_cols, scratch);
-  for (std::size_t chunk = group.begin; chunk < group.end; ++chunk) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t out_row0 =
-          i * rows_per_chunk_ * num_chunks_ + chunk * rows_per_chunk_;
-      for (std::size_t r = 0; r < rows_per_chunk_; ++r) {
-        for (std::size_t c = 0; c < width_; ++c) {
-          out(out_row0 + r, c) =
-              group.rhs[i * rhs_cols + (chunk - group.begin) * chunk_cols +
-                        r * width_ + c];
-        }
-      }
-    }
-  }
-}
-
-void ChunkedDecoder::decode_into(linalg::Matrix& out, util::ThreadPool* pool) {
-  if (pool == nullptr || !context_->supports_parallel_solve()) {
-    decode_into(out);
-    return;
-  }
-  const std::size_t k = generator_.k();
-  prepare_decode(out);
-  const std::size_t chunk_cols = rows_per_chunk_ * width_;
-
-  // Serial phase: split the chunks into maximal same-responder-set runs,
-  // allocate each run's batched RHS from the arena (not thread-safe), and
-  // prepare the cached factorizations IN GROUP ORDER — the hit/miss
-  // sequence this produces is exactly the serial decode's, so the
-  // fingerprinted decode-cache telemetry is unchanged.
-  groups_.clear();
-  for (std::size_t begin = 0; begin < num_chunks_;) {
-    std::size_t end = begin + 1;
-    while (end < num_chunks_ && keys_[end] == keys_[begin]) ++end;
-    const std::size_t rhs_cols = (end - begin) * chunk_cols;
-    groups_.push_back({begin, end, arena_.alloc_span<double>(k * rhs_cols),
-                       context_->prepare(keys_[begin])});
-    begin = end;
-  }
-  if (groups_.size() == 1) {
-    // One group: no cross-group parallelism to exploit; run the serial
-    // gather/solve/scatter on the already-prepared entry.
-    const DecodeGroup& g = groups_.front();
-    decode_group(g, chunk_cols, out);
-    return;
-  }
-
-  // Parallel phase: each task owns one group — its RHS span, its output
-  // rows (chunk-disjoint across groups), and task-local solve scratch.
-  // The shared cache entries are read-only here, so any interleaving
-  // produces the serial bits.
-  pool->parallel_for(groups_.size(), [&](std::size_t gi) {
-    decode_group(groups_[gi], chunk_cols, out);
-  });
 }
 
 ChunkVerification ChunkedDecoder::verify_chunks(double tolerance) {

@@ -29,10 +29,6 @@
 #include "src/linalg/matrix.h"
 #include "src/util/arena.h"
 
-namespace s2c2::util {
-class ThreadPool;
-}  // namespace s2c2::util
-
 namespace s2c2::coding {
 
 /// Outcome of a Byzantine verification pass over the registered chunk
@@ -101,18 +97,6 @@ class ChunkedDecoder {
   /// steady-state decode performs zero heap allocations.
   void decode_into(linalg::Matrix& out);
 
-  /// Parallel fill-style decode: bitwise-identical output, with the
-  /// independent responder-set groups' gather/solve/scatter fanned out
-  /// over `pool` (help-first member parallel_for, so it composes with
-  /// outer sharding). Cache lookups — whose hit/miss order is
-  /// fingerprinted telemetry — and arena RHS allocation run serially in
-  /// group order first; each parallel task then touches only its own
-  /// group's RHS span, disjoint output rows, and per-task solve scratch.
-  /// Falls back to the serial decode when `pool` is null, there is only
-  /// one group, or the context backend has no concurrency-safe solve
-  /// (Vandermonde / LT).
-  void decode_into(linalg::Matrix& out, util::ThreadPool* pool);
-
   /// Byzantine verification-and-voting pass (docs/DESIGN.md §7): every
   /// chunk holding more than k results is residual-checked through the
   /// decode context; on failure the corrupted responders are identified by
@@ -143,28 +127,9 @@ class ChunkedDecoder {
   void reset(std::size_t width);
 
  private:
-  /// One same-responder-set chunk run of the parallel decode: chunks
-  /// [begin, end), the group's arena-backed batched RHS, and its prepared
-  /// cache entry.
-  struct DecodeGroup {
-    std::size_t begin;
-    std::size_t end;
-    std::span<double> rhs;
-    DecodeContext::Prepared prepared;
-  };
-
   [[nodiscard]] std::size_t chunk_values() const noexcept {
     return rows_per_chunk_ * width_;
   }
-
-  /// Computes keys_ (per-chunk sorted first-k responder subsets) and
-  /// sizes `out`; shared prologue of both decode_into overloads.
-  void prepare_decode(linalg::Matrix& out);
-
-  /// One group's gather / prepared-solve / scatter, using task-local
-  /// scratch only — safe to run concurrently across distinct groups.
-  void decode_group(const DecodeGroup& group, std::size_t chunk_cols,
-                    linalg::Matrix& out) const;
 
   const GeneratorMatrix& generator_;
   std::size_t rows_per_chunk_;
@@ -188,8 +153,6 @@ class ChunkedDecoder {
   // gathered (sentinel npos when absent), replacing a per-responder linear
   // slot search.
   std::vector<std::size_t> slot_pos_;
-  // parallel decode_into scratch (capacity retained across rounds).
-  std::vector<DecodeGroup> groups_;
 };
 
 }  // namespace s2c2::coding

@@ -200,31 +200,6 @@ void DecodeContext::solve_inplace(std::span<const std::size_t> subset,
     e.bp->solve_inplace(rhs_rowmajor, width);
     return;
   }
-  solve_entry(e, rhs_rowmajor, width, solve_scratch_);
-}
-
-DecodeContext::Prepared DecodeContext::prepare(
-    std::span<const std::size_t> subset) {
-  S2C2_REQUIRE(supports_parallel_solve(),
-               "prepare/solve_prepared: systematic-MDS backend only");
-  return Prepared(&acquire(subset));
-}
-
-void DecodeContext::solve_prepared(const Prepared& prepared,
-                                   std::span<double> rhs_rowmajor,
-                                   std::size_t width,
-                                   SolveScratch& scratch) const {
-  S2C2_REQUIRE(prepared.entry_ != nullptr,
-               "solve_prepared on an empty handle");
-  S2C2_REQUIRE(width > 0 && rhs_rowmajor.size() == k_ * width,
-               "decode solve: rhs layout mismatch");
-  solve_entry(*prepared.entry_, rhs_rowmajor, width, scratch);
-}
-
-void DecodeContext::solve_entry(const Entry& e,
-                                std::span<double> rhs_rowmajor,
-                                std::size_t width,
-                                SolveScratch& scratch) const {
   // In-place scatter. The subset is sorted and systematic ids are < k <=
   // parity ids, so systematic rows occupy positions 0..s-1 with
   // sys_block[i] = subset[i] >= i: (1) reduce the parity rows first (pure
@@ -237,10 +212,10 @@ void DecodeContext::solve_entry(const Entry& e,
   const std::size_t s = e.sys_pos.size();
   if (p > 0) {
     // Reduced RHS: parity row minus its systematic contributions.
-    scratch.reduced.resize(p * width);
+    reduced_scratch_.resize(p * width);
     for (std::size_t r = 0; r < p; ++r) {
       const double* src = rhs_rowmajor.data() + e.par_pos[r] * width;
-      double* dst = scratch.reduced.data() + r * width;
+      double* dst = reduced_scratch_.data() + r * width;
       std::copy(src, src + width, dst);
       for (std::size_t i = 0; i < s; ++i) {
         const double g =
@@ -251,8 +226,8 @@ void DecodeContext::solve_entry(const Entry& e,
       }
     }
     e.lu->solve_inplace(
-        std::span<double>(scratch.reduced.data(), p * width), width,
-        scratch.perm);
+        std::span<double>(reduced_scratch_.data(), p * width), width,
+        perm_scratch_);
   }
   for (std::size_t i = s; i-- > 0;) {
     if (e.sys_block[i] == e.sys_pos[i]) continue;
@@ -261,7 +236,7 @@ void DecodeContext::solve_entry(const Entry& e,
               rhs_rowmajor.data() + e.sys_block[i] * width);
   }
   for (std::size_t r = 0; r < p; ++r) {
-    const double* src = scratch.reduced.data() + r * width;
+    const double* src = reduced_scratch_.data() + r * width;
     std::copy(src, src + width,
               rhs_rowmajor.data() + e.missing[r] * width);
   }

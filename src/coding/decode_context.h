@@ -131,53 +131,6 @@ class DecodeContext {
   void solve_inplace(std::span<const std::size_t> subset,
                      std::span<double> rhs_rowmajor, std::size_t width);
 
-  // ---- split solve for the parallel decode path -------------------------
-  // solve_inplace = prepare (cache lookup/fill + stats, NOT thread-safe,
-  // call serially in solve order so the hit/miss telemetry matches the
-  // serial run exactly) followed by solve_prepared (pure: reads only the
-  // immutable cached entry plus caller-owned scratch, so any number of
-  // threads may run it concurrently — one SolveScratch per thread). The
-  // two halves produce bitwise the same RHS transformation as the fused
-  // call.
-
-  /// Opaque handle to a cached responder-set factorization; valid until
-  /// clear(). Obtained from prepare().
-  class Prepared {
-   public:
-    Prepared() = default;
-
-   private:
-    friend class DecodeContext;
-    explicit Prepared(const Entry* entry) : entry_(entry) {}
-    const Entry* entry_ = nullptr;
-  };
-
-  /// Per-thread scratch for solve_prepared (capacities retained across
-  /// solves).
-  struct SolveScratch {
-    std::vector<double> reduced;  // p x width Schur-reduced RHS
-    std::vector<double> perm;     // LU row-permutation gather
-  };
-
-  /// True when this backend supports the split prepare/solve_prepared
-  /// path (the systematic-MDS generator backend; the Vandermonde and LT
-  /// backends solve through stateful helpers and stay serial).
-  [[nodiscard]] bool supports_parallel_solve() const noexcept {
-    return generator_ != nullptr;
-  }
-
-  /// Cache lookup/fill for `subset` (identical validation, caching, and
-  /// stats accounting to solve_inplace's first half). Requires
-  /// supports_parallel_solve().
-  [[nodiscard]] Prepared prepare(std::span<const std::size_t> subset);
-
-  /// The pure second half: solves the prepared system over `rhs` using
-  /// only caller-owned scratch. Safe to call concurrently with other
-  /// solve_prepared calls (including against the same Prepared handle).
-  void solve_prepared(const Prepared& prepared,
-                      std::span<double> rhs_rowmajor, std::size_t width,
-                      SolveScratch& scratch) const;
-
   /// LT-backend numeric entry point: decodes the accumulated symbols of
   /// `subset` (sorted responders; `symbols` row-major in responder-major,
   /// chunk-minor order with `values_per_symbol` values per symbol) into
@@ -216,10 +169,6 @@ class DecodeContext {
   /// the key into the map).
   void make_key(std::span<const std::size_t> subset);
   Entry& acquire(std::span<const std::size_t> subset);
-  /// Generator-backend solve body shared by solve_inplace (member
-  /// scratch) and solve_prepared (caller scratch); pure over the entry.
-  void solve_entry(const Entry& e, std::span<double> rhs_rowmajor,
-                   std::size_t width, SolveScratch& scratch) const;
   [[nodiscard]] double solve_cost(const Entry& e, std::size_t columns) const;
   [[nodiscard]] double factor_cost(const Entry& e) const;
 
@@ -229,9 +178,11 @@ class DecodeContext {
   std::size_t k_ = 0;
   std::map<std::vector<std::uint64_t>, std::unique_ptr<Entry>> cache_;
   DecodeContextStats stats_;
-  // Solve scratch, reused across calls so the per-round hot path does not
-  // allocate (the serial decode path runs once per chunk group per round).
-  SolveScratch solve_scratch_;
+  // solve_inplace's scratch — the p x width Schur-reduced RHS and the LU
+  // permutation gather — reused across calls and shared by every cache
+  // entry, so the per-round hot path does not allocate.
+  std::vector<double> reduced_scratch_;
+  std::vector<double> perm_scratch_;
   std::vector<double> scratch_verify_;  // redundant_residual's k x width copy
   std::vector<std::uint64_t> key_scratch_;  // make_key's bitmap buffer
 };

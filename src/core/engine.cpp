@@ -91,9 +91,9 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
   // records is fingerprinted behavior), so it runs serially first; the
   // chunk products themselves are pure writes into the staged spans —
   // arena-backed and stable until the next reset() — and fan out over
-  // the inner pool. Each task owns its span exclusively, and every
-  // product is computed by the serial kernel, so the decoded bits are
-  // identical at any inner_jobs.
+  // the inner pool when each is big enough to pay for it. Each task owns
+  // its span exclusively, and every product is computed by the serial
+  // kernel, so the decoded bits are identical at any inner_jobs.
   decoder_.reset(width);
   const std::size_t chunks = ledger.alloc.chunks_per_partition;
   chunk_tasks_.clear();
@@ -113,7 +113,8 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
     }
   }
   util::ThreadPool* const pool = inner_pool();
-  if (pool == nullptr || chunk_tasks_.size() < 2) {
+  if (pool == nullptr || chunk_tasks_.size() < 2 ||
+      job_.chunk_flops(width) < kMinParallelChunkFlops) {
     for (const ChunkTask& t : chunk_tasks_) {
       job_.compute_chunk_into(t.worker, t.chunk, x_panel, width, t.out);
     }
@@ -147,7 +148,7 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
     S2C2_CHECK(verification.corrupt_workers == expected,
                "byzantine verification convicted the wrong responder set");
   }
-  decoder_.decode_into(decoded_scratch_, inner_pool());
+  decoder_.decode_into(decoded_scratch_);
   return decoded_scratch_;
 }
 

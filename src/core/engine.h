@@ -42,6 +42,14 @@ class CodedComputeEngine : public RoundExecutor {
 
   [[nodiscard]] const CodedMatVecJob& job() const noexcept { return job_; }
 
+  /// The one intra-round parallel layer: with inner_jobs >= 2, a
+  /// functional round fans its per-(worker, chunk) products out over the
+  /// inner pool only when one product — job().chunk_flops(width) — costs
+  /// at least this many flops. Smaller tasks run serially: on a 4-thread
+  /// host the fan-out loses below ~400 flops per task and wins from 512
+  /// up (measurements in docs/PERFORMANCE.md "Intra-round parallelism").
+  static constexpr double kMinParallelChunkFlops = 512.0;
+
   /// Decode-cache telemetry across every round so far (responder sets
   /// resident, hits/misses, charged flops) — see coding/decode_context.h.
   [[nodiscard]] coding::DecodeContextStats decode_stats() const override {
@@ -130,7 +138,7 @@ class CodedComputeEngine : public RoundExecutor {
   /// and its arena-backed decoder slot. Staging (which mutates decoder
   /// state and fixes the fingerprinted arrival order) runs serially;
   /// the pure compute into these non-overlapping spans then fans out
-  /// over the engine's inner pool.
+  /// over the engine's inner pool when kMinParallelChunkFlops allows.
   struct ChunkTask {
     std::size_t worker;
     std::size_t chunk;

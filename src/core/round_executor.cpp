@@ -26,20 +26,6 @@ void resize_cleared(std::vector<std::vector<std::size_t>>& v, std::size_t n) {
   v.resize(n);
   for (auto& inner : v) inner.clear();
 }
-
-// Runs body(i) for every i in [0, n): serially when `pool` is null (the
-// default inner_jobs = 1 data path, which must stay allocation-free),
-// otherwise fanned out over the engine's intra-round pool. body(i) must
-// only write slot-i state, so the results are bitwise identical either
-// way.
-template <typename Body>
-void for_each_slot(util::ThreadPool* pool, std::size_t n, const Body& body) {
-  if (pool == nullptr || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  pool->parallel_for(n, body);
-}
 }  // namespace
 
 RoundExecutor::RoundExecutor(StrategyKind kind, ClusterSpec spec,
@@ -239,12 +225,9 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
 
   timing_.resize(n);
   std::vector<WorkerTiming>& timing = timing_;
-  // Per-worker dispatch/compute/response simulation is embarrassingly
-  // parallel: simulate_worker is const over the spec and writes only
-  // slot w.
-  for_each_slot(inner_pool(), n, [&](std::size_t w) {
+  for (std::size_t w = 0; w < n; ++w) {
     timing[w] = simulate_worker(w, t0, alloc.per_worker[w].count, width);
-  });
+  }
 
   // Workers with assigned work, ordered by response time.
   assigned_.clear();
@@ -296,15 +279,12 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
     coverage_time = timing[qth].response;
     cancel_time = coverage_time;
     for (std::size_t i = 0; i < collect; ++i) used[by_response[i]] = true;
-    // Chunk-disjoint fill + sort: each chunk owns its responder vector.
-    for_each_slot(inner_pool(), alloc.chunks_per_partition,
-                  [&](std::size_t c) {
-                    for (std::size_t i = 0; i < collect; ++i) {
-                      final_chunk_workers[c].push_back(by_response[i]);
-                    }
-                    std::sort(final_chunk_workers[c].begin(),
-                              final_chunk_workers[c].end());
-                  });
+    for (std::vector<std::size_t>& responders : final_chunk_workers) {
+      responders.assign(by_response.begin(),
+                        by_response.begin() +
+                            static_cast<std::ptrdiff_t>(collect));
+      std::sort(responders.begin(), responders.end());
+    }
     result.stats.timeout_fired = false;
   } else {
     // S2C2 collection with the §4.3 timeout. The reference point is the

@@ -152,10 +152,11 @@ class StrategyEngine {
   /// state; jobs >= 2 spins up a private help-first pool of jobs - 1
   /// workers (the round-running thread participates, so total
   /// parallelism is `jobs`); 0 means ThreadPool::hardware_threads().
-  /// Results are bitwise identical at any setting — every parallel
-  /// stage partitions work into disjoint slots computed in the exact
-  /// serial accumulation order (docs/PERFORMANCE.md "Intra-round
-  /// parallelism").
+  /// The pool's one user is CodedComputeEngine's chunk fan-out (see
+  /// kMinParallelChunkFlops); other engines run serially at any setting.
+  /// Results are bitwise identical at any setting — each chunk product
+  /// writes its own slot in the exact serial accumulation order
+  /// (docs/PERFORMANCE.md "Intra-round parallelism").
   void set_inner_jobs(std::size_t jobs);
   [[nodiscard]] std::size_t inner_jobs() const noexcept {
     return inner_jobs_;
@@ -171,7 +172,7 @@ class StrategyEngine {
 
   /// The engine's intra-round pool: null when inner_jobs() <= 1 (the
   /// serial data path), otherwise a pool of inner_jobs() - 1 workers that
-  /// round stages fan out over via the help-first member parallel_for.
+  /// the chunk fan-out runs on via the help-first member parallel_for.
   /// Round code treats a null pool as "run the serial loop".
   [[nodiscard]] util::ThreadPool* inner_pool() const noexcept {
     return inner_pool_.get();

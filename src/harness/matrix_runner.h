@@ -76,7 +76,7 @@ struct RunnerOptions {
   /// (ScenarioConfig::inner_jobs / core::EngineParams::inner_jobs):
   /// 1 = serial round loop (default), N >= 2 = N-way engine-owned pool,
   /// 0 = hardware threads. Composes safely with `jobs`: a cell running on
-  /// a pool worker detects the nesting and its inner fan-outs use the
+  /// a pool worker detects the nesting and its chunk fan-out uses the
   /// engine pool's help-first parallel_for, never spawning per-cell
   /// thread storms. Results are byte-identical at every (jobs x
   /// inner_jobs) combination.

@@ -153,9 +153,9 @@ struct ScenarioConfig {
 
   /// Intra-round (per-engine) parallelism, forwarded to
   /// core::EngineParams::inner_jobs: 1 (default) keeps the serial,
-  /// allocation-free round loop; N >= 2 fans each cell's kernels, chunk
-  /// products, and decode groups over an N-way engine-owned pool; 0 uses
-  /// every hardware thread. Bitwise-invariant: every cell fingerprint is
+  /// allocation-free round loop; N >= 2 fans each cell's large chunk
+  /// products over an N-way engine-owned pool; 0 uses every hardware
+  /// thread. Bitwise-invariant: every cell fingerprint is
   /// identical at any inner_jobs, and it composes with the matrix
   /// runner's outer --jobs sharding (nested parallel_for falls back
   /// serial inside pool workers, so threads never multiply).

@@ -88,8 +88,9 @@ struct ServeConfig {
   std::uint64_t seed = 42;
 
   /// Intra-round parallelism for the serving engine (forwarded to
-  /// core::EngineParams::inner_jobs): the coalesced block round's kernels,
-  /// per-chunk products, and decode groups fan out over an inner pool.
+  /// core::EngineParams::inner_jobs): the coalesced block round's
+  /// per-chunk products fan out over an inner pool when each is big
+  /// enough to pay (core::CodedComputeEngine::kMinParallelChunkFlops).
   /// 1 = serial (default), 0 = hardware threads. Not hashed — the
   /// fingerprint is bitwise-invariant across inner_jobs by construction.
   std::size_t inner_jobs = 1;

@@ -1,20 +1,8 @@
 #include "src/linalg/kernels.h"
 
-#include <algorithm>
-
-#include "src/util/thread_pool.h"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 namespace s2c2::linalg::kernels {
 
 namespace {
-
-// Minimum multiply count before the optional OpenMP row split engages;
-// below it thread fan-out costs more than the kernel.
-[[maybe_unused]] constexpr std::size_t kOmpMinWork = 1u << 16;
 
 // One dense matvec row tile: kMatvecRowTile independent accumulator
 // chains share each x[c] load; every chain is the naive ascending-c sum.
@@ -50,16 +38,6 @@ inline void matvec_rows_tail(const double* S2C2_RESTRICT a, std::size_t rows,
   }
 }
 
-inline void dense_matvec_range(const double* S2C2_RESTRICT a, std::size_t r0,
-                               std::size_t r1, std::size_t cols,
-                               const double* S2C2_RESTRICT x,
-                               double* S2C2_RESTRICT y) {
-  std::size_t r = r0;
-  for (; r + kMatvecRowTile <= r1; r += kMatvecRowTile) {
-    matvec_rows4(a + r * cols, cols, x, y + r);
-  }
-  matvec_rows_tail(a + r * cols, r1 - r, cols, x, y + r);
-}
 
 // One (row pair) x (8 RHS columns) matmat tile: a single ascending-c
 // pass over both rows, 16 accumulators. The column tile is contiguous in
@@ -112,51 +90,7 @@ inline void matmat_row1_tail(const double* S2C2_RESTRICT a0, std::size_t cols,
   for (std::size_t j = 0; j < jw; ++j) y0[j] = acc[j];
 }
 
-inline void dense_matmat_range(const double* S2C2_RESTRICT a, std::size_t r0,
-                               std::size_t r1, std::size_t cols,
-                               const double* S2C2_RESTRICT x,
-                               std::size_t width, double* S2C2_RESTRICT y) {
-  std::size_t r = r0;
-  for (; r + kMatmatRowTile <= r1; r += kMatmatRowTile) {
-    const double* S2C2_RESTRICT a0 = a + r * cols;
-    const double* S2C2_RESTRICT a1 = a0 + cols;
-    double* S2C2_RESTRICT y0 = y + r * width;
-    double* S2C2_RESTRICT y1 = y0 + width;
-    std::size_t j = 0;
-    for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
-      matmat_rows2_tile<kMatmatColTile>(a0, a1, cols, x + j, width, y0 + j,
-                                        y1 + j);
-    }
-    if (j < width) {
-      matmat_row1_tail(a0, cols, x + j, width, width - j, y0 + j);
-      matmat_row1_tail(a1, cols, x + j, width, width - j, y1 + j);
-    }
-  }
-  for (; r < r1; ++r) {
-    const double* S2C2_RESTRICT a0 = a + r * cols;
-    double* S2C2_RESTRICT y0 = y + r * width;
-    std::size_t j = 0;
-    for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
-      matmat_row1_tile<kMatmatColTile>(a0, cols, x + j, width, y0 + j);
-    }
-    if (j < width) matmat_row1_tail(a0, cols, x + j, width, width - j, y0 + j);
-  }
-}
 
-inline void csr_matvec_range(const std::size_t* S2C2_RESTRICT row_ptr,
-                             std::size_t r0, std::size_t r1,
-                             const std::size_t* S2C2_RESTRICT col_idx,
-                             const double* S2C2_RESTRICT values,
-                             const double* S2C2_RESTRICT x,
-                             double* S2C2_RESTRICT y) {
-  for (std::size_t r = r0; r < r1; ++r) {
-    const std::size_t p0 = row_ptr[r];
-    const std::size_t p1 = row_ptr[r + 1];
-    double acc = 0.0;
-    for (std::size_t p = p0; p < p1; ++p) acc += values[p] * x[col_idx[p]];
-    y[r] = acc;
-  }
-}
 
 // Tiled CSR panel rows: one pass over the row's nonzeros per column tile
 // of 8 (instead of one pass per RHS column), gathers amortized across
@@ -190,13 +124,67 @@ inline void csr_row_tail(std::size_t p0, std::size_t p1,
   for (std::size_t j = 0; j < jw; ++j) y[j] = acc[j];
 }
 
-inline void csr_matmat_range(const std::size_t* S2C2_RESTRICT row_ptr,
-                             std::size_t r0, std::size_t r1,
-                             const std::size_t* S2C2_RESTRICT col_idx,
-                             const double* S2C2_RESTRICT values,
-                             const double* S2C2_RESTRICT x, std::size_t width,
-                             double* S2C2_RESTRICT y) {
-  for (std::size_t r = r0; r < r1; ++r) {
+}  // namespace
+
+void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
+                  std::size_t cols, const double* S2C2_RESTRICT x,
+                  double* S2C2_RESTRICT y) {
+  std::size_t r = 0;
+  for (; r + kMatvecRowTile <= rows; r += kMatvecRowTile) {
+    matvec_rows4(a + r * cols, cols, x, y + r);
+  }
+  matvec_rows_tail(a + r * cols, rows - r, cols, x, y + r);
+}
+
+void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
+                  std::size_t cols, const double* S2C2_RESTRICT x,
+                  std::size_t width, double* S2C2_RESTRICT y) {
+  std::size_t r = 0;
+  for (; r + kMatmatRowTile <= rows; r += kMatmatRowTile) {
+    const double* S2C2_RESTRICT a0 = a + r * cols;
+    const double* S2C2_RESTRICT a1 = a0 + cols;
+    double* S2C2_RESTRICT y0 = y + r * width;
+    double* S2C2_RESTRICT y1 = y0 + width;
+    std::size_t j = 0;
+    for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
+      matmat_rows2_tile<kMatmatColTile>(a0, a1, cols, x + j, width, y0 + j,
+                                        y1 + j);
+    }
+    if (j < width) {
+      matmat_row1_tail(a0, cols, x + j, width, width - j, y0 + j);
+      matmat_row1_tail(a1, cols, x + j, width, width - j, y1 + j);
+    }
+  }
+  for (; r < rows; ++r) {
+    const double* S2C2_RESTRICT a0 = a + r * cols;
+    double* S2C2_RESTRICT y0 = y + r * width;
+    std::size_t j = 0;
+    for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
+      matmat_row1_tile<kMatmatColTile>(a0, cols, x + j, width, y0 + j);
+    }
+    if (j < width) matmat_row1_tail(a0, cols, x + j, width, width - j, y0 + j);
+  }
+}
+
+void csr_matvec(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
+                const std::size_t* S2C2_RESTRICT col_idx,
+                const double* S2C2_RESTRICT values,
+                const double* S2C2_RESTRICT x, double* S2C2_RESTRICT y) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t p0 = row_ptr[r];
+    const std::size_t p1 = row_ptr[r + 1];
+    double acc = 0.0;
+    for (std::size_t p = p0; p < p1; ++p) acc += values[p] * x[col_idx[p]];
+    y[r] = acc;
+  }
+}
+
+void csr_matmat(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
+                const std::size_t* S2C2_RESTRICT col_idx,
+                const double* S2C2_RESTRICT values,
+                const double* S2C2_RESTRICT x, std::size_t width,
+                double* S2C2_RESTRICT y) {
+  for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t p0 = row_ptr[r];
     const std::size_t p1 = row_ptr[r + 1];
     double* S2C2_RESTRICT yr = y + r * width;
@@ -209,135 +197,6 @@ inline void csr_matmat_range(const std::size_t* S2C2_RESTRICT row_ptr,
       csr_row_tail(p0, p1, col_idx, values, x + j, width, width - j, yr + j);
     }
   }
-}
-
-// Splits [0, rows) into contiguous tile-aligned blocks, one per
-// participating thread (pool workers + the caller), and runs `body(lo,
-// hi)` on each via the help-first member parallel_for. Blocks are
-// non-overlapping and cover every row exactly once, and each body call
-// is one of the serial range helpers above — so the split never touches
-// a per-element accumulation chain and the output bits match the serial
-// kernel for any pool size. Serial when the pool is null, the multiply
-// count is under kPoolMinWork, or only one block results.
-template <typename Body>
-void parallel_row_blocks(util::ThreadPool* pool, std::size_t rows,
-                         std::size_t work, std::size_t tile,
-                         const Body& body) {
-  if (pool == nullptr || work < kPoolMinWork || rows <= tile) {
-    body(0, rows);
-    return;
-  }
-  const std::size_t tiles = (rows + tile - 1) / tile;
-  const std::size_t parts = std::min(pool->size() + 1, tiles);
-  if (parts <= 1) {
-    body(0, rows);
-    return;
-  }
-  pool->parallel_for(parts, [&](std::size_t p) {
-    const std::size_t lo = tiles * p / parts * tile;
-    const std::size_t hi =
-        p + 1 == parts ? rows : std::min(tiles * (p + 1) / parts * tile, rows);
-    if (lo < hi) body(lo, hi);
-  });
-}
-
-}  // namespace
-
-void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
-                  std::size_t cols, const double* S2C2_RESTRICT x,
-                  double* S2C2_RESTRICT y) {
-#if defined(_OPENMP)
-  if (rows * cols >= kOmpMinWork) {
-    const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(rows);
-#pragma omp parallel
-    {
-      const int nt = omp_get_num_threads();
-      const int id = omp_get_thread_num();
-      const std::ptrdiff_t lo = n * id / nt;
-      const std::ptrdiff_t hi = n * (id + 1) / nt;
-      dense_matvec_range(a, static_cast<std::size_t>(lo),
-                         static_cast<std::size_t>(hi), cols, x, y);
-    }
-    return;
-  }
-#endif
-  dense_matvec_range(a, 0, rows, cols, x, y);
-}
-
-void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
-                  std::size_t cols, const double* S2C2_RESTRICT x,
-                  std::size_t width, double* S2C2_RESTRICT y) {
-#if defined(_OPENMP)
-  if (rows * cols * width >= kOmpMinWork) {
-    const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(rows);
-#pragma omp parallel
-    {
-      const int nt = omp_get_num_threads();
-      const int id = omp_get_thread_num();
-      const std::ptrdiff_t lo = n * id / nt;
-      const std::ptrdiff_t hi = n * (id + 1) / nt;
-      dense_matmat_range(a, static_cast<std::size_t>(lo),
-                         static_cast<std::size_t>(hi), cols, x, width, y);
-    }
-    return;
-  }
-#endif
-  dense_matmat_range(a, 0, rows, cols, x, width, y);
-}
-
-void csr_matvec(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
-                const std::size_t* S2C2_RESTRICT col_idx,
-                const double* S2C2_RESTRICT values,
-                const double* S2C2_RESTRICT x, double* S2C2_RESTRICT y) {
-  csr_matvec_range(row_ptr, 0, rows, col_idx, values, x, y);
-}
-
-void csr_matmat(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
-                const std::size_t* S2C2_RESTRICT col_idx,
-                const double* S2C2_RESTRICT values,
-                const double* S2C2_RESTRICT x, std::size_t width,
-                double* S2C2_RESTRICT y) {
-  csr_matmat_range(row_ptr, 0, rows, col_idx, values, x, width, y);
-}
-
-void dense_matvec(const double* a, std::size_t rows, std::size_t cols,
-                  const double* x, double* y, util::ThreadPool* pool) {
-  parallel_row_blocks(pool, rows, rows * cols, kMatvecRowTile,
-                      [&](std::size_t lo, std::size_t hi) {
-                        dense_matvec_range(a, lo, hi, cols, x, y);
-                      });
-}
-
-void dense_matmat(const double* a, std::size_t rows, std::size_t cols,
-                  const double* x, std::size_t width, double* y,
-                  util::ThreadPool* pool) {
-  parallel_row_blocks(pool, rows, rows * cols * width, kMatmatRowTile,
-                      [&](std::size_t lo, std::size_t hi) {
-                        dense_matmat_range(a, lo, hi, cols, x, width, y);
-                      });
-}
-
-void csr_matvec(const std::size_t* row_ptr, std::size_t rows,
-                const std::size_t* col_idx, const double* values,
-                const double* x, double* y, util::ThreadPool* pool) {
-  const std::size_t nnz = rows == 0 ? 0 : row_ptr[rows] - row_ptr[0];
-  parallel_row_blocks(pool, rows, nnz, 1,
-                      [&](std::size_t lo, std::size_t hi) {
-                        csr_matvec_range(row_ptr, lo, hi, col_idx, values, x,
-                                         y);
-                      });
-}
-
-void csr_matmat(const std::size_t* row_ptr, std::size_t rows,
-                const std::size_t* col_idx, const double* values,
-                const double* x, std::size_t width, double* y,
-                util::ThreadPool* pool) {
-  const std::size_t nnz = rows == 0 ? 0 : row_ptr[rows] - row_ptr[0];
-  parallel_row_blocks(pool, rows, nnz * width, 1,
-                      [&](std::size_t lo, std::size_t hi) {
-                        csr_matmat_range(row_ptr, lo, hi, col_idx, values, x,
-                                         width, y);
-                      });
 }
 
 }  // namespace s2c2::linalg::kernels

@@ -17,28 +17,13 @@
 // identical to the naive reference — tests/kernel_equivalence_test.cpp
 // holds every kernel to EXPECT_EQ on doubles.
 //
-// Optional OpenMP (cmake -DS2C2_OPENMP=ON) parallelizes over *output
-// rows* only, so per-element chains — and therefore results — are
-// byte-identical at any thread count. Tiling parameters and the
-// measured effect: docs/PERFORMANCE.md.
-//
-// The pool overloads below are the deterministic intra-round parallel
-// path (no OpenMP dependency): output rows are split into contiguous,
-// tile-aligned, NON-OVERLAPPING blocks, one per participating thread of
-// the caller-supplied util::ThreadPool (help-first member parallel_for,
-// so they are safe to call from inside a pool task). Because every
-// output element's accumulation chain is untouched by the split, the
-// parallel results are bitwise identical to the serial kernels at any
-// thread count — the same invariant the OpenMP path relies on, pinned by
-// tests/kernel_equivalence_test.cpp's serial≡parallel EXPECT_EQ sweeps.
-// A null pool (or work below kPoolMinWork) runs the serial kernel.
+// The kernels are serial and pure, so concurrent calls on shared inputs
+// are safe and bit-identical. Intra-round parallelism lives one level up,
+// in the engine's chunk fan-out (src/core/engine.h). Tiling parameters
+// and their measured effect: docs/PERFORMANCE.md.
 #pragma once
 
 #include <cstddef>
-
-namespace s2c2::util {
-class ThreadPool;
-}  // namespace s2c2::util
 
 #if defined(__GNUC__) || defined(__clang__)
 #define S2C2_RESTRICT __restrict__
@@ -56,11 +41,6 @@ inline constexpr std::size_t kMatvecRowTile = 4;
 inline constexpr std::size_t kMatmatColTile = 8;
 /// Row tile for dense matmat (paired with kMatmatColTile accumulators).
 inline constexpr std::size_t kMatmatRowTile = 2;
-
-/// Minimum multiply count before the pool overloads fan out; below it the
-/// pool's claim/notify overhead costs more than the kernel itself (the
-/// same rationale as the OpenMP path's internal threshold).
-inline constexpr std::size_t kPoolMinWork = 1u << 16;
 
 /// y[0..rows) = A * x for row-major A (rows x cols). y must not alias A/x.
 void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
@@ -90,30 +70,5 @@ void csr_matmat(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
                 const double* S2C2_RESTRICT values,
                 const double* S2C2_RESTRICT x, std::size_t width,
                 double* S2C2_RESTRICT y);
-
-// ---- deterministic row-parallel variants (intra-round parallelism) ----
-// Identical bits to the serial kernels above at ANY pool size: the row
-// split is over whole output elements only (header contract). Pass
-// pool == nullptr for the serial path.
-
-/// Row-parallel dense_matvec over tile-aligned row blocks.
-void dense_matvec(const double* a, std::size_t rows, std::size_t cols,
-                  const double* x, double* y, util::ThreadPool* pool);
-
-/// Row-parallel dense_matmat over tile-aligned row blocks.
-void dense_matmat(const double* a, std::size_t rows, std::size_t cols,
-                  const double* x, std::size_t width, double* y,
-                  util::ThreadPool* pool);
-
-/// Row-parallel csr_matvec (row sub-range convention unchanged).
-void csr_matvec(const std::size_t* row_ptr, std::size_t rows,
-                const std::size_t* col_idx, const double* values,
-                const double* x, double* y, util::ThreadPool* pool);
-
-/// Row-parallel csr_matmat (row sub-range convention unchanged).
-void csr_matmat(const std::size_t* row_ptr, std::size_t rows,
-                const std::size_t* col_idx, const double* values,
-                const double* x, std::size_t width, double* y,
-                util::ThreadPool* pool);
 
 }  // namespace s2c2::linalg::kernels

@@ -33,13 +33,13 @@ class LuFactorization {
   /// In-place variant over a row-major RHS laid out as n rows of width m.
   /// Reuses an internal permutation scratch, so steady-state calls are
   /// allocation-free — but NOT safe to call concurrently on one instance
-  /// (the serial decode path; see tests/arena_test.cpp).
+  /// (see tests/arena_test.cpp).
   void solve_inplace(std::span<double> b_rowmajor, std::size_t width) const;
 
-  /// Concurrency-safe variant: identical bits, but the permutation gather
-  /// runs through the caller-owned `perm_scratch` (resized as needed), so
-  /// any number of threads may solve against one shared factorization as
-  /// long as each brings its own scratch — the parallel decode path.
+  /// Same solve, with the permutation gather run through the caller-owned
+  /// `perm_scratch` (resized as needed). The decode context shares one
+  /// scratch across every cached factorization this way, so a cache
+  /// entry retains no solve buffer of its own.
   void solve_inplace(std::span<double> b_rowmajor, std::size_t width,
                      std::vector<double>& perm_scratch) const;
 

@@ -9,7 +9,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/time.h"
 
 namespace s2c2::sim {
 

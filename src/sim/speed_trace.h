@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "src/sim/event_queue.h"  // for Time
+#include "src/sim/time.h"
 
 namespace s2c2::sim {
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/coding/poly_code.h"
+#include "src/core/engine.h"
 #include "src/core/engine_factory.h"
 #include "src/harness/matrix_runner.h"
 #include "src/harness/scenario_matrix.h"
@@ -39,11 +40,13 @@ using core::StrategyKind;
 using core::strategy_name;
 
 /// Functional engine inputs shared by the engine-level contracts: a seeded
-/// dense 240 x 30 operator on a 12-worker cluster, k = 10, 12 chunks per
-/// partition — small enough that the whole registered lineup runs in
-/// milliseconds, large enough that every coded geometry is non-trivial.
+/// dense 240 x `cols` operator (30 by default) on a 12-worker cluster,
+/// k = 10, 12 chunks per partition — small enough that the whole
+/// registered lineup runs in milliseconds, large enough that every coded
+/// geometry is non-trivial.
 struct FunctionalRig {
-  FunctionalRig() : rng(11), a(linalg::Matrix::random_uniform(240, 30, rng)) {
+  explicit FunctionalRig(std::size_t cols = 30)
+      : rng(11), a(linalg::Matrix::random_uniform(240, cols, rng)) {
     x.resize(a.cols());
     for (auto& v : x) v = rng.normal();
     truth = a.matvec(x);
@@ -374,13 +377,13 @@ TEST(EngineConformance, WarmRoundsMatchColdRoundsBitForBit) {
 }
 
 TEST(EngineConformance, InnerParallelRoundsMatchSerialBitForBit) {
-  // The intra-round parallelism contract, per registered kind: an engine
-  // with inner_jobs = 4 (kernels, chunk products, and decode groups fanned
-  // over its inner pool) must produce byte-identical rounds to the serial
-  // twin — latency bits, product bits, prediction vectors, accounting
-  // totals, decode telemetry. The fan-outs only repartition already
-  // output-disjoint work (row tiles, (worker, chunk) slots, responder-set
-  // groups), so any divergence is a real ownership bug, not roundoff.
+  // The inner_jobs knob, per registered kind: an engine with
+  // inner_jobs = 4 must produce byte-identical rounds to the serial twin —
+  // latency bits, product bits, prediction vectors, accounting totals,
+  // decode telemetry. This rig's chunk products sit below
+  // CodedComputeEngine::kMinParallelChunkFlops, so it pins the serial
+  // fallback under a live pool; the above-threshold fan-out is checked by
+  // InnerParallelBlockRoundsMatchSerialBitForBit.
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
   for (const StrategyKind k : core::registered_strategies()) {
@@ -434,48 +437,70 @@ TEST(EngineConformance, InnerParallelRoundsMatchSerialBitForBit) {
     EXPECT_EQ(ss.entries, ps.entries) << strategy_name(k);
     EXPECT_EQ(ss.hits, ps.hits)
         << strategy_name(k)
-        << ": parallel decode changed the cache hit/miss telemetry";
+        << ": inner_jobs changed the cache hit/miss telemetry";
     EXPECT_EQ(ss.misses, ps.misses) << strategy_name(k);
   }
 }
 
 TEST(EngineConformance, InnerParallelBlockRoundsMatchSerialBitForBit) {
   // Same contract over the multi-RHS block data path (the serving layer's
-  // round): y_block must carry the serial bits at inner_jobs = 4 — the
-  // widest per-chunk spans and the batched multi-RHS decode both ride the
-  // parallel fan-outs here.
-  const FunctionalRig rig;
+  // round): y_block must carry the serial bits at inner_jobs = 4. Two
+  // geometries: the narrow rig at b = 3, whose chunk products stay on the
+  // serial path, and a 240 x 512 operator at b = 16, whose products are
+  // big enough that the engine fans them out over its inner pool — the
+  // one intra-round parallel layer. Each (worker, chunk) task writes only
+  // its own staged decoder span, so any divergence is an ownership bug,
+  // not roundoff.
   const test::FunctionalHessian hess;
-  constexpr std::size_t kWidth = 3;
-  linalg::Matrix x_panel(rig.a.cols(), kWidth);
-  util::Rng panel_rng(29);
-  for (std::size_t r = 0; r < x_panel.rows(); ++r) {
-    for (std::size_t c = 0; c < kWidth; ++c) x_panel(r, c) = panel_rng.normal();
-  }
-  for (const StrategyKind k : core::registered_strategies()) {
-    if (!core::strategy_supports_block_rounds(k) || is_poly(k)) continue;
-    EngineParams parallel_params = functional_params(k, rig, hess);
-    parallel_params.inner_jobs = 4;
-    const auto serial = core::make_engine(k, functional_params(k, rig, hess));
-    const auto inner = core::make_engine(k, std::move(parallel_params));
-    for (std::size_t round = 0; round < 2; ++round) {
-      const core::RoundResult s = serial->run_round_block(x_panel, kWidth);
-      const core::RoundResult p = inner->run_round_block(x_panel, kWidth);
-      EXPECT_EQ(s.stats.latency(), p.stats.latency())
-          << strategy_name(k) << " round " << round;
-      ASSERT_TRUE(s.y_block.has_value()) << strategy_name(k);
-      ASSERT_TRUE(p.y_block.has_value()) << strategy_name(k);
-      ASSERT_EQ(s.y_block->rows(), p.y_block->rows()) << strategy_name(k);
-      ASSERT_EQ(s.y_block->cols(), p.y_block->cols()) << strategy_name(k);
-      for (std::size_t r = 0; r < s.y_block->rows(); ++r) {
-        for (std::size_t c = 0; c < s.y_block->cols(); ++c) {
-          EXPECT_EQ((*s.y_block)(r, c), (*p.y_block)(r, c))
-              << strategy_name(k) << " round " << round << " (" << r << ", "
-              << c << ")";
+  const auto check = [&hess](const FunctionalRig& rig, std::size_t width) {
+    linalg::Matrix x_panel(rig.a.cols(), width);
+    util::Rng panel_rng(29);
+    for (double& v : x_panel.mutable_data()) v = panel_rng.normal();
+    for (const StrategyKind k : core::registered_strategies()) {
+      if (!core::strategy_supports_block_rounds(k) || is_poly(k)) continue;
+      EngineParams parallel_params = functional_params(k, rig, hess);
+      parallel_params.inner_jobs = 4;
+      const auto serial =
+          core::make_engine(k, functional_params(k, rig, hess));
+      const auto inner = core::make_engine(k, std::move(parallel_params));
+      for (std::size_t round = 0; round < 2; ++round) {
+        const core::RoundResult s = serial->run_round_block(x_panel, width);
+        const core::RoundResult p = inner->run_round_block(x_panel, width);
+        EXPECT_EQ(s.stats.latency(), p.stats.latency())
+            << strategy_name(k) << " b=" << width << " round " << round;
+        ASSERT_TRUE(s.y_block.has_value()) << strategy_name(k);
+        ASSERT_TRUE(p.y_block.has_value()) << strategy_name(k);
+        ASSERT_EQ(s.y_block->rows(), p.y_block->rows()) << strategy_name(k);
+        ASSERT_EQ(s.y_block->cols(), p.y_block->cols()) << strategy_name(k);
+        for (std::size_t r = 0; r < s.y_block->rows(); ++r) {
+          for (std::size_t c = 0; c < s.y_block->cols(); ++c) {
+            EXPECT_EQ((*s.y_block)(r, c), (*p.y_block)(r, c))
+                << strategy_name(k) << " b=" << width << " round " << round
+                << " (" << r << ", " << c << ")";
+          }
         }
       }
     }
-  }
+  };
+
+  const auto chunk_flops = [](const FunctionalRig& rig, std::size_t width) {
+    const EngineParams p = rig.params();
+    return core::CodedMatVecJob(rig.a, p.cluster.num_workers(), p.k,
+                                p.chunks_per_partition)
+        .chunk_flops(width);
+  };
+  constexpr double kThreshold =
+      core::CodedComputeEngine::kMinParallelChunkFlops;
+
+  const FunctionalRig narrow;
+  ASSERT_LT(chunk_flops(narrow, 3), kThreshold)
+      << "the narrow case must exercise the serial fallback";
+  check(narrow, 3);
+
+  const FunctionalRig wide(512);
+  ASSERT_GE(chunk_flops(wide, 16), kThreshold)
+      << "the wide case must exercise the chunk fan-out";
+  check(wide, 16);
 }
 
 TEST(EngineConformance, DecodeCacheWarmsAcrossRepeatedRounds) {

@@ -1,22 +1,28 @@
-// Nested-parallelism regression suite: the intra-round data path
+// Nested-parallelism regression suite: the intra-round knob
 // (EngineParams::inner_jobs) composed with every outer sharding level must
 // be bitwise invisible. The scenario-matrix contract under test:
 //
 //   run_matrix(cfg, axes, {.jobs = J, .inner_jobs = I})
 //
 // hashes identically for every (J x I) combination — outer cells shard
-// across the runner's pool, each cell's engine fans its kernels, chunk
-// products, and decode groups over its own inner pool, and the nesting
-// contract (src/util/thread_pool.h) keeps the two levels from multiplying
-// threads: a free parallel_for inside a pool worker runs serial, while the
-// engine's member parallel_for is help-first and claims indices from the
-// inner pool alongside the calling cell thread.
+// across the runner's pool, each cell's engine owns an inner pool, and the
+// nesting contract (src/util/thread_pool.h) keeps the two levels from
+// multiplying threads: a free parallel_for inside a pool worker runs
+// serial, while the engine's member parallel_for is help-first and claims
+// indices from the inner pool alongside the calling cell thread.
+//
+// The matrix rigs are small: their chunk products (72 and 432 flops) sit
+// below CodedComputeEngine::kMinParallelChunkFlops, so they pin that an
+// engine holding a live inner pool still reproduces the serial run,
+// nested or not. The serve rig's widest block rounds (b = 8, 576 flops per
+// product) cross it and fan out; the wide-operator case in
+// EngineConformance.InnerParallelBlockRoundsMatchSerialBitForBit asserts
+// its own geometry above the threshold.
 //
 // These tests run REAL functional rounds (decode verified against the
-// uncoded product), so a violation of any disjointness invariant — row
-// tiles, (worker, chunk) slots, responder-set decode groups — shows up as
-// a fingerprint diff, not just a crash. The suite rides in the TSan CI job
-// (.github/workflows/ci.yml) so the same scenarios are also raced-checked.
+// uncoded product), so a divergence shows up as a fingerprint diff, not
+// just a crash. The suite rides in the TSan CI job
+// (.github/workflows/ci.yml) so the same scenarios are also race-checked.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -31,7 +37,7 @@ namespace s2c2 {
 namespace {
 
 /// The scenario slice every combination runs: two coded engines with
-/// distinct decode paths (s2c2's adaptive groups, mds's fastest-k), one
+/// distinct collection rules (s2c2's adaptive groups, mds's fastest-k), one
 /// uncoded baseline, over two workloads (dense + sparse kernels) and two
 /// trace profiles (steady groups vs. churning responder sets). Functional,
 /// so products are computed and verified, not just costed.
@@ -83,8 +89,8 @@ TEST(InnerParallel, MatrixFingerprintInvariantAcrossJobsByInnerJobs) {
 TEST(InnerParallel, SingleCellInvariantAcrossInnerJobs) {
   // run_cell at inner_jobs in {2, 4, 0 = hardware} against serial — the
   // config knob alone, no outer pool in the picture. Includes the decode
-  // verification (functional), so the parallel decode's output bits are
-  // checked against the direct product inside every run.
+  // verification (functional), so the decoded bits are checked against
+  // the direct product inside every run.
   harness::ScenarioConfig cfg = regression_config();
   const auto serial =
       harness::run_cell(cfg, harness::StrategyKind::kS2C2,
@@ -107,10 +113,9 @@ TEST(InnerParallel, SingleCellInvariantAcrossInnerJobs) {
 }
 
 TEST(InnerParallel, ServeFingerprintInvariantAcrossInnerJobs) {
-  // The coalesced serving layer drives the widest panels through the
-  // parallel path (multi-RHS chunk spans, batched multi-RHS decode
-  // groups); its whole-run fingerprint — every outcome's exact bits plus
-  // the decode hit/miss counters — must not move.
+  // The coalesced serving layer's multi-RHS block rounds; its whole-run
+  // fingerprint — every outcome's exact bits plus the decode hit/miss
+  // counters — must not move.
   harness::ServeConfig cfg;
   cfg.workers = 24;
   cfg.requests = 24;

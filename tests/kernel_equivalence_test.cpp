@@ -11,11 +11,8 @@
 // for matvec, 2 x 8 for matmat), odd and degenerate sizes, unaligned
 // row-pointer offsets (sub-range entry points as EncodedPartition uses
 // them), dense matvec/matmat and CSR matvec/matmat, the Matrix/CsrMatrix
-// wrappers, concurrent kernel invocations across parameterized thread
-// counts (results must be identical at any --jobs), and the row-partitioned
-// pool overloads — serial vs. pooled EXPECT_EQ sweeps at parameterized
-// pool sizes, above and below the kPoolMinWork engagement threshold, plus
-// the outer-pool nesting composition.
+// wrappers, and concurrent kernel invocations across parameterized thread
+// counts (results must be identical at any --jobs).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -253,106 +250,6 @@ TEST(KernelEquivalence, MatrixWrappersUseTheSameChains) {
   for (std::size_t r = 0; r < 21; ++r) {
     EXPECT_EQ(yv[r], vref[r]);
     EXPECT_EQ(yv_into[r], vref[r]);
-  }
-}
-
-class PoolOverloadTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(PoolOverloadTest, DenseKernelsBitwiseMatchSerialAtAnyPoolSize) {
-  // The row-partitioned pool overloads against the serial kernels,
-  // EXPECT_EQ per element. Two regimes per shape list: the small kShapes
-  // fall under kPoolMinWork and take the serial fallback inside the
-  // overload; the large shapes straddle row-tile boundaries around the
-  // block split points (255/256/257 rows against tile 4, rows below/at/
-  // above pool-size multiples) and genuinely fan out. Both must emit the
-  // serial bits — the partition is over whole output rows only.
-  util::ThreadPool pool(GetParam());
-  util::Rng rng(0x9001);
-  const Shape big[] = {{255, 300}, {256, 300}, {257, 300},
-                       {258, 257}, {301, 260}, {512, 129}};
-  auto check_shape = [&](std::size_t rows, std::size_t cols) {
-    const std::vector<double> a = random_values(rows * cols, rng);
-    const std::vector<double> x = random_values(cols, rng);
-    std::vector<double> serial(rows, -1.0);
-    std::vector<double> pooled(rows, -2.0);
-    kernels::dense_matvec(a.data(), rows, cols, x.data(), serial.data());
-    kernels::dense_matvec(a.data(), rows, cols, x.data(), pooled.data(),
-                          &pool);
-    EXPECT_EQ(serial, pooled) << rows << "x" << cols << " matvec";
-    for (const std::size_t w : {std::size_t{1}, std::size_t{3},
-                                std::size_t{8}}) {
-      const std::vector<double> xp = random_values(cols * w, rng);
-      std::vector<double> sref(rows * w, -1.0);
-      std::vector<double> pref(rows * w, -2.0);
-      kernels::dense_matmat(a.data(), rows, cols, xp.data(), w, sref.data());
-      kernels::dense_matmat(a.data(), rows, cols, xp.data(), w, pref.data(),
-                            &pool);
-      EXPECT_EQ(sref, pref) << rows << "x" << cols << " b=" << w;
-    }
-  };
-  for (const Shape s : big) check_shape(s.rows, s.cols);
-  for (const Shape s : kShapes) check_shape(s.rows, s.cols);
-}
-
-TEST_P(PoolOverloadTest, CsrKernelsBitwiseMatchSerialAtAnyPoolSize) {
-  util::ThreadPool pool(GetParam());
-  util::Rng rng(0x9002);
-  // ~80k nonzeros: over kPoolMinWork for the matvec (work = nnz), so the
-  // row blocks engage; the narrow 150 x 150 operator stays under it for
-  // matvec and checks the in-overload serial fallback instead.
-  for (const Shape s : {Shape{410, 400}, Shape{150, 150}}) {
-    const CsrMatrix m = random_csr(s.rows, s.cols, 0.5, rng);
-    const std::vector<double> x = random_values(m.cols(), rng);
-    std::vector<double> serial(m.rows(), -1.0);
-    std::vector<double> pooled(m.rows(), -2.0);
-    kernels::csr_matvec(m.row_ptr().data(), m.rows(), m.col_idx().data(),
-                        m.values().data(), x.data(), serial.data());
-    kernels::csr_matvec(m.row_ptr().data(), m.rows(), m.col_idx().data(),
-                        m.values().data(), x.data(), pooled.data(), &pool);
-    EXPECT_EQ(serial, pooled) << s.rows << "x" << s.cols << " csr matvec";
-    for (const std::size_t w : {std::size_t{2}, std::size_t{7}}) {
-      const std::vector<double> xp = random_values(m.cols() * w, rng);
-      std::vector<double> sref(m.rows() * w, -1.0);
-      std::vector<double> pref(m.rows() * w, -2.0);
-      kernels::csr_matmat(m.row_ptr().data(), m.rows(), m.col_idx().data(),
-                          m.values().data(), xp.data(), w, sref.data());
-      kernels::csr_matmat(m.row_ptr().data(), m.rows(), m.col_idx().data(),
-                          m.values().data(), xp.data(), w, pref.data(),
-                          &pool);
-      EXPECT_EQ(sref, pref) << s.rows << "x" << s.cols << " csr b=" << w;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PoolSizes, PoolOverloadTest,
-                         ::testing::Values(1, 2, 3, 7));
-
-TEST(KernelEquivalence, PoolOverloadsNestedInsideAnOuterPoolStaySerialSafe) {
-  // The engine-inside-sharded-harness composition in miniature: pool
-  // overloads invoked from tasks of an OUTER pool (the member parallel_for
-  // is help-first, so inner fan-outs drain without deadlocking even when
-  // outer and inner share threads) must still emit the serial bits.
-  util::ThreadPool outer(3);
-  util::ThreadPool inner(2);
-  util::Rng rng(0x9003);
-  const std::size_t rows = 300, cols = 280;
-  const std::vector<double> a = random_values(rows * cols, rng);
-  std::vector<std::vector<double>> inputs;
-  for (int i = 0; i < 8; ++i) inputs.push_back(random_values(cols, rng));
-  std::vector<std::vector<double>> serial(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    serial[i].assign(rows, 0.0);
-    kernels::dense_matvec(a.data(), rows, cols, inputs[i].data(),
-                          serial[i].data());
-  }
-  std::vector<std::vector<double>> nested(inputs.size());
-  outer.parallel_for(inputs.size(), [&](std::size_t i) {
-    nested[i].assign(rows, 0.0);
-    kernels::dense_matvec(a.data(), rows, cols, inputs[i].data(),
-                          nested[i].data(), &inner);
-  });
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_EQ(serial[i], nested[i]) << "input " << i;
   }
 }
 
