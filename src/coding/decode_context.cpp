@@ -2,29 +2,76 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "src/coding/lt_code.h"
 #include "src/util/require.h"
 
 namespace s2c2::coding {
 
-/// One cached responder-set factorization. For the MDS backend the split
-/// is: `sys_pos[i]` is the subset row whose worker is systematic for block
-/// `sys_block[i]`; `par_worker` are the parity responders in subset order;
-/// `missing` are the blocks no systematic responder covers (|missing| ==
-/// |par_worker| == p). `lu` factors the p x p reduced matrix
-/// M(r, c) = G(par_worker[r], missing[c]). For the Vandermonde backend
-/// only `bp` is set.
+namespace {
+// Parity rows the Schur RHS reduction carries at once (see solve_inplace).
+constexpr std::size_t kSchurRowBlock = 4;
+
+/// Schur RHS reduction of kSchurRowBlock parity rows over columns
+/// [c, c + Cols), accumulating in registers:
+///   out[j][c + q] = par[j][c + q] - sum_i g[j][sys[i]] * rhs[i][c + q],
+/// subtracting in ascending i and skipping zero coefficients — exactly
+/// the chain the row-at-a-time reduction runs for every element. `g[j]`
+/// is parity row j's generator row, read left to right as i ascends
+/// (`sys` is sorted); rows are `width` apart in rhs, par and out.
+template <std::size_t Cols>
+void reduce_tile(std::span<const std::size_t> sys, const double* const* g,
+                 const double* rhs, const double* par, double* out,
+                 std::size_t width, std::size_t c) {
+  double acc[kSchurRowBlock][Cols];
+  for (std::size_t j = 0; j < kSchurRowBlock; ++j) {
+    for (std::size_t q = 0; q < Cols; ++q) acc[j][q] = par[j * width + c + q];
+  }
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const double* v = rhs + i * width + c;
+    for (std::size_t j = 0; j < kSchurRowBlock; ++j) {
+      const double a = g[j][sys[i]];
+      if (a == 0.0) continue;
+      for (std::size_t q = 0; q < Cols; ++q) acc[j][q] -= a * v[q];
+    }
+  }
+  for (std::size_t j = 0; j < kSchurRowBlock; ++j) {
+    for (std::size_t q = 0; q < Cols; ++q) out[j * width + c + q] = acc[j][q];
+  }
+}
+}  // namespace
+
+/// One cached responder-set factorization. MDS backend: a sorted subset
+/// holds its s systematic workers (ids < k, each pinning block id ==
+/// worker id) at positions 0..s-1 and its p = k - s parity workers after
+/// them, so the entry keeps only what the subset does not say: `missing`,
+/// the blocks no systematic responder covers (ascending, |missing| == p),
+/// and `lu`, the factors of the p x p reduced matrix
+/// M(r, c) = G(subset[s + r], missing[c]) (empty when p == 0). The
+/// Vandermonde backend sets only `bp`, the rateless one only `lt`.
 struct DecodeContext::Entry {
-  std::vector<std::size_t> sys_pos;
-  std::vector<std::size_t> sys_block;
-  std::vector<std::size_t> par_pos;
-  std::vector<std::size_t> par_worker;
   std::vector<std::size_t> missing;
-  std::unique_ptr<linalg::LuFactorization> lu;    // p x p; null when p == 0
-  std::unique_ptr<linalg::VandermondeSolver> bp;  // Vandermonde backend
-  std::unique_ptr<LtPeelPlan> lt;                 // rateless backend
+  std::optional<linalg::LuFactorization> lu;
+  std::optional<linalg::VandermondeSolver> bp;
+  std::optional<LtPeelPlan> lt;
+  // Recency list links and the entry's own map position (for eviction).
+  Entry* newer = nullptr;
+  Entry* older = nullptr;
+  Cache::iterator self;
 };
+
+DecodeContext::LruEnds::LruEnds(LruEnds&& o) noexcept
+    : newest(std::exchange(o.newest, nullptr)),
+      oldest(std::exchange(o.oldest, nullptr)) {}
+
+DecodeContext::LruEnds& DecodeContext::LruEnds::operator=(
+    LruEnds&& o) noexcept {
+  newest = std::exchange(o.newest, nullptr);
+  oldest = std::exchange(o.oldest, nullptr);
+  return *this;
+}
 
 DecodeContext::DecodeContext(DecodeContext&&) noexcept = default;
 DecodeContext& DecodeContext::operator=(DecodeContext&&) noexcept = default;
@@ -56,6 +103,61 @@ void DecodeContext::make_key(std::span<const std::size_t> subset) {
   }
 }
 
+void DecodeContext::unlink(Entry& e) {
+  (e.newer ? e.newer->older : lru_.newest) = e.older;
+  (e.older ? e.older->newer : lru_.oldest) = e.newer;
+  e.newer = e.older = nullptr;
+}
+
+void DecodeContext::link_newest(Entry& e) {
+  e.newer = nullptr;
+  e.older = lru_.newest;
+  (lru_.newest ? lru_.newest->newer : lru_.oldest) = &e;
+  lru_.newest = &e;
+}
+
+void DecodeContext::build(Entry& e,
+                          std::span<const std::size_t> subset) const {
+  e.missing.clear();
+  e.lu.reset();
+  e.bp.reset();
+  e.lt.reset();
+  if (lt_code_ != nullptr) {
+    e.lt.emplace(lt_code_->plan_for(subset));
+    S2C2_REQUIRE(e.lt->decodable,
+                 "LT responder set does not decode (collection must extend "
+                 "past the threshold until the peel plan closes)");
+  } else if (generator_) {
+    // Systematic rows (identity: worker < k pins block worker) lead the
+    // sorted subset; the blocks they skip are the Schur unknowns.
+    const std::size_t s = static_cast<std::size_t>(
+        std::lower_bound(subset.begin(), subset.end(), k_) - subset.begin());
+    const std::size_t p = k_ - s;
+    e.missing.reserve(p);
+    for (std::size_t b = 0, j = 0; b < k_; ++b) {
+      if (j < s && subset[j] == b) {
+        ++j;
+      } else {
+        e.missing.push_back(b);
+      }
+    }
+    S2C2_CHECK(e.missing.size() == p, "systematic split lost a block");
+    if (p > 0) {
+      linalg::Matrix reduced(p, p);
+      for (std::size_t r = 0; r < p; ++r) {
+        for (std::size_t c = 0; c < p; ++c) {
+          reduced(r, c) = generator_->coeff(subset[s + r], e.missing[c]);
+        }
+      }
+      e.lu.emplace(std::move(reduced));
+    }
+  } else {
+    std::vector<double> pts(k_);
+    for (std::size_t j = 0; j < k_; ++j) pts[j] = eval_points_[subset[j]];
+    e.bp.emplace(std::move(pts));
+  }
+}
+
 DecodeContext::Entry& DecodeContext::acquire(
     std::span<const std::size_t> subset) {
   if (lt_code_ != nullptr) {
@@ -75,58 +177,37 @@ DecodeContext::Entry& DecodeContext::acquire(
   const auto it = cache_.find(key_scratch_);
   if (it != cache_.end()) {
     ++stats_.hits;
-    return *it->second;
+    Entry& hit = *it->second;
+    if (lru_.newest != &hit) {
+      unlink(hit);
+      link_newest(hit);
+    }
+    return hit;
   }
   ++stats_.misses;
 
-  auto entry = std::make_unique<Entry>();
-  if (lt_code_ != nullptr) {
-    entry->lt = std::make_unique<LtPeelPlan>(lt_code_->plan_for(subset));
-    S2C2_REQUIRE(entry->lt->decodable,
-                 "LT responder set does not decode (collection must extend "
-                 "past the threshold until the peel plan closes)");
-  } else if (generator_) {
-    // Split into systematic rows (identity: worker < k pins block worker)
-    // and parity rows, then factor the Schur-reduced parity block.
-    std::vector<bool> covered(k_, false);
-    for (std::size_t j = 0; j < subset.size(); ++j) {
-      const std::size_t w = subset[j];
-      if (generator_->is_systematic_row(w)) {
-        entry->sys_pos.push_back(j);
-        entry->sys_block.push_back(w);
-        covered[w] = true;
-      } else {
-        entry->par_pos.push_back(j);
-        entry->par_worker.push_back(w);
-      }
-    }
-    for (std::size_t b = 0; b < k_; ++b) {
-      if (!covered[b]) entry->missing.push_back(b);
-    }
-    S2C2_CHECK(entry->missing.size() == entry->par_worker.size(),
-               "systematic split lost a block");
-    const std::size_t p = entry->par_worker.size();
-    if (p > 0) {
-      linalg::Matrix reduced(p, p);
-      for (std::size_t r = 0; r < p; ++r) {
-        for (std::size_t c = 0; c < p; ++c) {
-          reduced(r, c) =
-              generator_->coeff(entry->par_worker[r], entry->missing[c]);
-        }
-      }
-      entry->lu =
-          std::make_unique<linalg::LuFactorization>(std::move(reduced));
-    }
+  Entry* entry = nullptr;
+  if (cache_.size() >= kCapacity) {
+    // Recycle the least recently used entry's map node, key and storage.
+    Entry& victim = *lru_.oldest;
+    unlink(victim);
+    Cache::node_type node = cache_.extract(victim.self);
+    stats_.entries = cache_.size();
+    ++stats_.evictions;
+    node.key() = key_scratch_;
+    build(*node.mapped(), subset);
+    entry = node.mapped().get();
+    entry->self = cache_.insert(std::move(node)).position;
   } else {
-    std::vector<double> pts(k_);
-    for (std::size_t j = 0; j < k_; ++j) pts[j] = eval_points_[subset[j]];
-    entry->bp = std::make_unique<linalg::VandermondeSolver>(std::move(pts));
+    auto fresh = std::make_unique<Entry>();
+    build(*fresh, subset);
+    entry = fresh.get();
+    // Copies the key: miss path only.
+    entry->self = cache_.emplace(key_scratch_, std::move(fresh)).first;
   }
-
-  Entry& ref = *entry;
-  cache_.emplace(key_scratch_, std::move(entry));  // copies the key: miss path
+  link_newest(*entry);
   stats_.entries = cache_.size();
-  return ref;
+  return *entry;
 }
 
 double DecodeContext::factor_cost(const Entry& e) const {
@@ -137,7 +218,7 @@ double DecodeContext::factor_cost(const Entry& e) const {
     const double s = static_cast<double>(e.lt->tail_size());
     return 2.0 * static_cast<double>(e.lt->edges) + 2.0 / 3.0 * s * s * s;
   }
-  const double p = static_cast<double>(e.par_worker.size());
+  const double p = static_cast<double>(e.missing.size());
   return 2.0 / 3.0 * p * p * p;
 }
 
@@ -155,8 +236,8 @@ double DecodeContext::solve_cost(const Entry& e, std::size_t columns) const {
     const double s = static_cast<double>(e.lt->tail_size());
     return (2.0 * static_cast<double>(e.lt->edges) + 2.0 * s * s + kd) * v;
   }
-  const double p = static_cast<double>(e.par_worker.size());
-  const double s = static_cast<double>(e.sys_pos.size());
+  const double p = static_cast<double>(e.missing.size());
+  const double s = static_cast<double>(k_ - e.missing.size());
   // RHS reduction over systematic blocks + p x p triangular solves +
   // block-order assembly of the k output rows.
   return (2.0 * p * s + 2.0 * p * p + kd) * m;
@@ -201,44 +282,65 @@ void DecodeContext::solve_inplace(std::span<const std::size_t> subset,
     return;
   }
   // In-place scatter. The subset is sorted and systematic ids are < k <=
-  // parity ids, so systematic rows occupy positions 0..s-1 with
-  // sys_block[i] = subset[i] >= i: (1) reduce the parity rows first (pure
-  // reads), (2) move systematic rows to their block rows descending —
-  // every write lands at >= the current read position, so no unread row
-  // is clobbered, (3) scatter the solved missing blocks. The common
+  // parity ids, so systematic rows occupy positions 0..s-1 with block
+  // subset[i] >= i: (1) reduce the parity rows first (pure reads), (2)
+  // move systematic rows to their block rows descending — every write
+  // lands at >= the current read position, so no unread row is
+  // clobbered, (3) scatter the solved missing blocks. The common
   // nearly-identity permutation then moves almost nothing, which is what
   // keeps the amortized per-round decode at memory speed.
-  const std::size_t p = e.par_worker.size();
-  const std::size_t s = e.sys_pos.size();
+  const std::size_t p = e.missing.size();
+  const std::size_t s = k_ - p;
+  double* rhs = rhs_rowmajor.data();
   if (p > 0) {
-    // Reduced RHS: parity row minus its systematic contributions.
+    // Reduced RHS: parity row minus its systematic contributions,
+    //   reduced[r] = rhs[s + r] - sum_i G(subset[s + r], subset[i]) * rhs[i].
+    // Parity rows go kSchurRowBlock at a time through register tiles of
+    // two columns (then one): a single pass over the systematic rows feeds
+    // 2 x kSchurRowBlock independent subtraction chains instead of one
+    // latency-bound chain through memory, and each block reads its own
+    // generator rows left to right. Leftover rows (all of them when
+    // p < kSchurRowBlock) take the row-at-a-time loop. Each element keeps
+    // its chain — copy, then ascending-i subtractions with zero
+    // coefficients skipped — so the bits do not depend on the blocking.
     reduced_scratch_.resize(p * width);
-    for (std::size_t r = 0; r < p; ++r) {
-      const double* src = rhs_rowmajor.data() + e.par_pos[r] * width;
-      double* dst = reduced_scratch_.data() + r * width;
-      std::copy(src, src + width, dst);
+    double* reduced = reduced_scratch_.data();
+    const std::span<const std::size_t> sys = subset.first(s);
+    const linalg::Matrix& gen = generator_->matrix();
+    std::size_t r = 0;
+    for (; r + kSchurRowBlock <= p; r += kSchurRowBlock) {
+      const double* g[kSchurRowBlock];
+      for (std::size_t j = 0; j < kSchurRowBlock; ++j) {
+        g[j] = gen.row(subset[s + r + j]).data();
+      }
+      const double* par = rhs + (s + r) * width;
+      double* out = reduced + r * width;
+      std::size_t c = 0;
+      for (; c + 2 <= width; c += 2) {
+        reduce_tile<2>(sys, g, rhs, par, out, width, c);
+      }
+      if (c < width) reduce_tile<1>(sys, g, rhs, par, out, width, c);
+    }
+    for (; r < p; ++r) {
+      double* dst = reduced + r * width;
+      std::copy(rhs + (s + r) * width, rhs + (s + r + 1) * width, dst);
       for (std::size_t i = 0; i < s; ++i) {
-        const double g =
-            generator_->coeff(e.par_worker[r], e.sys_block[i]);
-        if (g == 0.0) continue;
-        const double* sys = rhs_rowmajor.data() + e.sys_pos[i] * width;
-        for (std::size_t c = 0; c < width; ++c) dst[c] -= g * sys[c];
+        const double a = generator_->coeff(subset[s + r], subset[i]);
+        if (a == 0.0) continue;
+        const double* src = rhs + i * width;
+        for (std::size_t c = 0; c < width; ++c) dst[c] -= a * src[c];
       }
     }
-    e.lu->solve_inplace(
-        std::span<double>(reduced_scratch_.data(), p * width), width,
-        perm_scratch_);
+    e.lu->solve_inplace(std::span<double>(reduced, p * width), width,
+                        perm_scratch_);
   }
   for (std::size_t i = s; i-- > 0;) {
-    if (e.sys_block[i] == e.sys_pos[i]) continue;
-    const double* src = rhs_rowmajor.data() + e.sys_pos[i] * width;
-    std::copy(src, src + width,
-              rhs_rowmajor.data() + e.sys_block[i] * width);
+    if (subset[i] == i) continue;
+    std::copy(rhs + i * width, rhs + (i + 1) * width, rhs + subset[i] * width);
   }
   for (std::size_t r = 0; r < p; ++r) {
     const double* src = reduced_scratch_.data() + r * width;
-    std::copy(src, src + width,
-              rhs_rowmajor.data() + e.missing[r] * width);
+    std::copy(src, src + width, rhs + e.missing[r] * width);
   }
 }
 
@@ -295,6 +397,7 @@ double DecodeContext::redundant_residual(std::span<const std::size_t> subset,
 
 void DecodeContext::clear() {
   cache_.clear();
+  lru_ = LruEnds{};
   stats_ = DecodeContextStats{};
 }
 

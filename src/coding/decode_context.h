@@ -18,9 +18,9 @@
 //     (linalg/vandermonde.h) runs O(k²) per RHS straight from the nodes.
 //  2. **Caching.** Wrap-around allocations produce only O(n) distinct
 //     responder sets per round and iterative jobs repeat them heavily
-//     across rounds, so factorizations are cached for the context's
-//     lifetime. An engine owns one context per job and reuses it every
-//     round: repeated sets decode at amortized solve-only cost.
+//     across rounds, so factorizations are cached across rounds (up to
+//     kCapacity sets). An engine owns one context per job and reuses it
+//     every round: repeated sets decode at amortized solve-only cost.
 //
 // Cache-key and invalidation contract:
 //  * The key is the responder set as a **sorted worker bitmap** (one bit
@@ -30,10 +30,16 @@
 //    immutable for the context's lifetime, so entries never go stale and
 //    there is no implicit invalidation. The context borrows the
 //    GeneratorMatrix; the caller keeps it alive (engines own both via
-//    their job). `clear()` is the only invalidation: call it if you must
-//    re-bind a context, otherwise never.
+//    their job). `clear()` is the only explicit invalidation: call it if
+//    you must re-bind a context, otherwise never.
 //  * Entries are independent of RHS width/geometry; one entry serves every
 //    chunk batch and every round that shows the same responder set.
+//  * Bounded: at most kCapacity entries stay resident. A miss that would
+//    exceed it evicts the least recently used entry (counted in
+//    DecodeContextStats::evictions). An entry rebuilt after eviction is
+//    the same pure function of its key, so decoded bits never depend on
+//    the bound; only the hit/miss counts and the factorization flops
+//    charge() books for the re-miss do.
 //  * Not thread-safe: one context per engine, engines per sweep cell, and
 //    cells never share state (the matrix runner's determinism contract).
 //
@@ -73,11 +79,14 @@ struct DecodeCharge {
 
 /// Cumulative cache/cost telemetry. Every lookup — charge() or
 /// solve_inplace() — counts one hit or miss; `entries` is the number of
-/// distinct responder sets resident.
+/// distinct responder sets resident (<= DecodeContext::kCapacity), and
+/// `evictions` the entries dropped to stay within it. Fingerprints may
+/// hash `entries`; they must never hash `evictions`, which is diagnostics.
 struct DecodeContextStats {
   std::size_t entries = 0;
   std::size_t hits = 0;
   std::size_t misses = 0;
+  std::size_t evictions = 0;
   double factor_flops = 0.0;  // cumulative factorization cost charged
   double solve_flops = 0.0;   // cumulative solve cost charged
 };
@@ -86,6 +95,13 @@ class DecodeContext {
   struct Entry;  // one cached responder-set factorization (private)
 
  public:
+  /// Resident-entry bound. Sized so that no pinned fingerprint and no
+  /// benchmark workload reaches it (recovery-n250 builds at most ~960
+  /// entries per engine); a long-lived engine on volatile traces, which
+  /// sees a fresh responder set almost every chunk group, stays within a
+  /// few tens of MB instead of growing by ~150 KB per round.
+  static constexpr std::size_t kCapacity = 4096;
+
   /// Systematic-MDS backend: recovery systems are k x k row subsets of
   /// `generator`, solved by Schur reduction onto the parity responders.
   /// Borrows the generator — it must outlive the context.
@@ -160,15 +176,31 @@ class DecodeContext {
   }
 
   /// Drops every cached factorization and zeroes the stats. The only
-  /// invalidation operation; see the contract in the header comment.
+  /// explicit invalidation; see the contract in the header comment.
   void clear();
 
  private:
+  using Cache = std::map<std::vector<std::uint64_t>, std::unique_ptr<Entry>>;
+
+  /// Ends of the intrusive recency list threaded through the entries.
+  /// Moving hands the list over with the cache and empties the source.
+  struct LruEnds {
+    Entry* newest = nullptr;
+    Entry* oldest = nullptr;
+    LruEnds() = default;
+    LruEnds(LruEnds&& o) noexcept;
+    LruEnds& operator=(LruEnds&& o) noexcept;
+  };
+
   /// Builds `subset`'s bitmap key into key_scratch_ (reused across calls:
   /// lookups on warm rounds are allocation-free; only a cache miss copies
   /// the key into the map).
   void make_key(std::span<const std::size_t> subset);
   Entry& acquire(std::span<const std::size_t> subset);
+  /// (Re)computes `e`'s factorization for `subset`, reusing its storage.
+  void build(Entry& e, std::span<const std::size_t> subset) const;
+  void unlink(Entry& e);
+  void link_newest(Entry& e);
   [[nodiscard]] double solve_cost(const Entry& e, std::size_t columns) const;
   [[nodiscard]] double factor_cost(const Entry& e) const;
 
@@ -176,7 +208,8 @@ class DecodeContext {
   std::vector<double> eval_points_;             // Vandermonde backend
   const LtCode* lt_code_ = nullptr;             // rateless backend
   std::size_t k_ = 0;
-  std::map<std::vector<std::uint64_t>, std::unique_ptr<Entry>> cache_;
+  Cache cache_;
+  LruEnds lru_;
   DecodeContextStats stats_;
   // solve_inplace's scratch — the p x width Schur-reduced RHS and the LU
   // permutation gather — reused across calls and shared by every cache

@@ -352,33 +352,48 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
       // (strategies with recovery_survives_death() == false instead treat
       // that death as an unrecoverable cluster failure). At most n waves
       // run (every extra wave removes at least one dead worker).
-      std::vector<bool> recovery_live = responded;
+      recovery_live_.assign(responded.begin(), responded.end());
+      std::vector<bool>& recovery_live = recovery_live_;
       // A worker is free for (more) recovery work once it sent its latest
       // response — original or a previous wave's extras.
-      std::vector<sim::Time> free_at(n, 0.0);
+      free_at_.assign(n, 0.0);
+      std::vector<sim::Time>& free_at = free_at_;
       for (std::size_t w : assigned) free_at[w] = timing[w].response;
+      // Every list the waves grow is reserved at its bound — a worker takes
+      // each chunk at most once, a chunk gains each worker at most once —
+      // so after the first recovery round no wave touches the heap.
+      const std::size_t chunks = alloc.chunks_per_partition;
+      plan_.chunks_per_worker.resize(n);
+      for (std::size_t w = 0; w < n; ++w) {
+        plan_.chunks_per_worker[w].reserve(chunks);
+        extra_chunks[w].reserve(chunks);
+      }
+      for (auto& ws : final_chunk_workers) ws.reserve(n);
+      const sched::ReassignmentPlan& plan = plan_;
       sim::Time wave_issue = deadline;
       for (std::size_t wave = 0; wave < n; ++wave) {
-        std::vector<std::size_t> deficient;
-        std::vector<std::vector<std::size_t>> have;
-        std::vector<std::size_t> needed;
-        for (std::size_t c = 0; c < alloc.chunks_per_partition; ++c) {
+        // The planner reads each deficient chunk's coverage in place.
+        deficient_.clear();
+        have_.clear();
+        needed_.clear();
+        for (std::size_t c = 0; c < chunks; ++c) {
           if (final_chunk_workers[c].size() < q) {
-            deficient.push_back(c);
-            have.push_back(final_chunk_workers[c]);
-            needed.push_back(q - final_chunk_workers[c].size());
+            deficient_.push_back(c);
+            have_.emplace_back(final_chunk_workers[c]);
+            needed_.push_back(q - final_chunk_workers[c].size());
           }
         }
-        if (deficient.empty()) break;
-        std::vector<double> rspeeds(n, 0.0);
+        if (deficient_.empty()) break;
+        rspeeds_.assign(n, 0.0);
+        std::vector<double>& rspeeds = rspeeds_;
         for (std::size_t w = 0; w < n; ++w) {
           if (recovery_live[w]) {
             rspeeds[w] = std::max(result.predicted_speeds[w], 1e-3);
           }
         }
-        sched::ReassignmentPlan plan;
         try {
-          plan = sched::plan_reassignment(deficient, have, needed, rspeeds);
+          sched::plan_reassignment_into(deficient_, have_, needed_, rspeeds,
+                                        reassign_scratch_, plan_);
         } catch (const std::invalid_argument& e) {
           throw std::runtime_error(recovery_infeasible_error(e.what()));
         }

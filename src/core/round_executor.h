@@ -35,6 +35,7 @@
 
 #include "src/core/strategy_engine.h"
 #include "src/sched/allocation.h"
+#include "src/sched/reassignment.h"
 #include "src/telemetry/health_monitor.h"
 
 namespace s2c2::core {
@@ -241,8 +242,10 @@ class RoundExecutor : public StrategyEngine {
   // Per-round scratch: every vector below is cleared (never shrunk) at
   // round start, so a warmed steady-state round touches the heap zero
   // times — tests/arena_test.cpp's counting allocator enforces it. The
-  // recovery-wave and Byzantine sub-paths keep local vectors: they only
-  // run on timeout / corrupted rounds, which are not steady state.
+  // §4.3 recovery waves reuse their own retained members (recovery_live_
+  // through plan_), so a warmed recovery round allocates only on decode
+  // cache misses. The Byzantine sub-path keeps a local mask: it runs on
+  // corrupted rounds only.
   sched::Allocation round_alloc_;
   std::vector<WorkerTiming> timing_;
   std::vector<std::size_t> assigned_;
@@ -256,6 +259,16 @@ class RoundExecutor : public StrategyEngine {
   std::vector<double> recovery_waste_;
   std::vector<bool> used_;
   std::vector<bool> responded_;
+  // §4.3 recovery-wave state. have_[i] views final_chunk_workers_ at
+  // deficient_[i]; the views live only while a wave plans.
+  std::vector<bool> recovery_live_;
+  std::vector<sim::Time> free_at_;
+  std::vector<std::size_t> deficient_;
+  std::vector<std::span<const std::size_t>> have_;
+  std::vector<std::size_t> needed_;
+  std::vector<double> rspeeds_;
+  sched::ReassignmentScratch reassign_scratch_;
+  sched::ReassignmentPlan plan_;
 };
 
 }  // namespace s2c2::core

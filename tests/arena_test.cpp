@@ -19,17 +19,22 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/core/engine_factory.h"
 #include "src/core/strategy_config.h"
 #include "src/core/strategy_engine.h"
 #include "src/linalg/matrix.h"
+#include "src/predict/predictors.h"
+#include "src/sched/reassignment.h"
 #include "src/util/arena.h"
 #include "src/util/rng.h"
+#include "src/workload/trace_gen.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -265,6 +270,116 @@ TEST(AllocationFreeRounds, ClaimMatchesTheMdsFamily) {
     EXPECT_EQ(engine->supports_allocation_free_rounds(), mds_family)
         << strategy_name(kind);
   }
+}
+
+// ---- §4.3 recovery rounds ------------------------------------------------
+
+/// Heap allocations one decode-cache miss may cost: the key copy, the map
+/// node, the entry, its missing-block list, and the LU factors' matrix and
+/// pivots (six), plus headroom for the decode scratch growing to a larger
+/// parity count than any earlier round needed.
+constexpr std::size_t kAllocsPerDecodeMiss = 8;
+
+TEST(RecoveryRounds, WarmPlannerIsHeapFree) {
+  const std::vector<std::size_t> deficient{2, 5, 5, 7};
+  const std::vector<std::size_t> holders{0, 3, 4};
+  const std::vector<std::span<const std::size_t>> have(4, holders);
+  const std::vector<std::size_t> needed{2, 1, 1, 3};
+  const std::vector<double> speeds{1.0, 2.0, 0.0, 1.5, 0.7, 1.1, 0.9, 1.3};
+  sched::ReassignmentScratch scratch;
+  sched::ReassignmentPlan plan;
+  sched::plan_reassignment_into(deficient, have, needed, speeds, scratch,
+                                plan);
+  const std::size_t allocs = count_allocations([&] {
+    sched::plan_reassignment_into(deficient, have, needed, speeds, scratch,
+                                  plan);
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(plan.total_chunks(), 7u);
+}
+
+TEST(RecoveryRounds, RepeatedRecoveryRoundIsHeapFree) {
+  // Equal-speed predictions over a cluster whose last two workers run five
+  // times slower: every round misses the same two workers, fires the §4.3
+  // timeout and re-plans the same deficient chunks onto the same
+  // responders. The decode cache therefore hits, and a warmed round must
+  // not touch the heap at all — the wave loop and the planner included.
+  test::FunctionalMatVec f(12, 8);
+  std::vector<sim::SpeedTrace> traces = test::uniform_traces(12);
+  traces[10] = traces[11] = sim::SpeedTrace::constant(0.2);
+  core::EngineConfig cfg;
+  cfg.strategy = StrategyKind::kS2C2;
+  cfg.chunks_per_partition = test::kChunks;
+  core::CodedComputeEngine engine(f.job, test::make_spec(std::move(traces)),
+                                  cfg,
+                                  std::make_unique<predict::EqualSpeedPredictor>());
+  for (int warm = 0; warm < 4; ++warm) engine.recycle(engine.run_round(f.x));
+
+  const std::size_t misses = engine.decode_stats().misses;
+  std::optional<core::RoundResult> round;
+  const std::size_t allocs =
+      count_allocations([&] { round.emplace(engine.run_round(f.x)); });
+  ASSERT_TRUE(round->stats.timeout_fired);
+  EXPECT_GT(round->stats.reassigned_chunks, 0u);
+  EXPECT_EQ(engine.decode_stats().misses, misses);
+  EXPECT_EQ(allocs, 0u) << "a cache-hit recovery round touched the heap "
+                        << allocs << " times";
+  ASSERT_TRUE(round->y.has_value());
+  test::expect_close(*round->y, f.truth, 1e-8);
+}
+
+TEST(RecoveryRounds, VolatileRecoveryRoundsAllocateOnlyOnDecodeMisses) {
+  // A last-value predictor on volatile cloud traces: the timeout fires on
+  // most rounds and fresh responder sets keep missing the decode cache.
+  // Past warm-up, a recovery round may allocate only for its misses.
+  constexpr std::size_t n = 40, k = 32, chunks = 8, warmup = 20, rounds = 60;
+  util::Rng rng(0x4ec0);
+  const linalg::Matrix a = linalg::Matrix::random_uniform(16 * k, 24, rng);
+  linalg::Vector x(a.cols());
+  for (double& v : x) v = rng.normal();
+  const linalg::Vector truth = a.matvec(x);
+  const core::CodedMatVecJob job(a, n, k, chunks);
+  core::EngineConfig cfg;
+  cfg.strategy = StrategyKind::kS2C2;
+  cfg.chunks_per_partition = chunks;
+  // One trace sample per round of a unit-speed cluster.
+  core::EngineConfig probe = cfg;
+  probe.oracle_speeds = true;
+  const double dt = core::CodedComputeEngine(
+                        job, test::make_spec(test::uniform_traces(n)), probe)
+                        .run_round()
+                        .stats.latency();
+  core::CodedComputeEngine engine(
+      job,
+      test::make_spec(workload::traces_from_series(
+          workload::cloud_speed_corpus(n, 4 * (warmup + rounds),
+                                       workload::volatile_cloud_config(), rng),
+          dt)),
+      cfg);
+  for (std::size_t r = 0; r < warmup; ++r) {
+    engine.recycle(engine.run_round(x));
+  }
+
+  std::size_t recovery_rounds = 0, misses_seen = 0;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::size_t misses0 = engine.decode_stats().misses;
+    std::optional<core::RoundResult> round;
+    const std::size_t allocs =
+        count_allocations([&] { round.emplace(engine.run_round(x)); });
+    const std::size_t misses = engine.decode_stats().misses - misses0;
+    ASSERT_TRUE(round->y.has_value());
+    test::expect_close(*round->y, truth, 1e-8);
+    if (round->stats.timeout_fired) {
+      ++recovery_rounds;
+      misses_seen += misses;
+      EXPECT_LE(allocs, kAllocsPerDecodeMiss * misses)
+          << "round " << r << ": " << allocs << " allocations for " << misses
+          << " decode misses";
+    }
+    engine.recycle(std::move(*round));
+  }
+  EXPECT_GE(recovery_rounds, 10u);
+  EXPECT_GT(misses_seen, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -284,6 +284,98 @@ TEST(DecodeContext, VandermondeBlockSolveBitwiseMatchesPerColumnSolves) {
   }
 }
 
+/// Straight-line reference for the MDS backend's solve: split the sorted
+/// subset into its systematic prefix and parity suffix, reduce each parity
+/// row one at a time (copy, then ascending-i subtractions, zero
+/// coefficients skipped), solve the reduced system with the same
+/// LuFactorization the context builds, and scatter into block order.
+std::vector<double> straight_line_solve(const GeneratorMatrix& g,
+                                        std::span<const std::size_t> subset,
+                                        std::vector<double> rhs,
+                                        std::size_t width) {
+  const std::size_t k = g.k();
+  std::size_t s = 0;
+  while (s < subset.size() && g.is_systematic_row(subset[s])) ++s;
+  const std::size_t p = k - s;
+  const std::span<const std::size_t> sys = subset.first(s);
+  std::vector<std::size_t> missing;
+  for (std::size_t b = 0; b < k; ++b) {
+    if (std::find(sys.begin(), sys.end(), b) == sys.end()) {
+      missing.push_back(b);
+    }
+  }
+  std::vector<double> reduced(p * width);
+  for (std::size_t r = 0; r < p; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      reduced[r * width + c] = rhs[(s + r) * width + c];
+    }
+    for (std::size_t i = 0; i < s; ++i) {
+      const double a = g.coeff(subset[s + r], subset[i]);
+      if (a == 0.0) continue;
+      for (std::size_t c = 0; c < width; ++c) {
+        reduced[r * width + c] -= a * rhs[i * width + c];
+      }
+    }
+  }
+  if (p > 0) {
+    linalg::Matrix m(p, p);
+    for (std::size_t r = 0; r < p; ++r) {
+      for (std::size_t c = 0; c < p; ++c) {
+        m(r, c) = g.coeff(subset[s + r], missing[c]);
+      }
+    }
+    linalg::LuFactorization(std::move(m)).solve_inplace(reduced, width);
+  }
+  std::vector<double> out(k * width);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t c = 0; c < width; ++c) {
+      out[subset[i] * width + c] = rhs[i * width + c];
+    }
+  }
+  for (std::size_t r = 0; r < p; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      out[missing[r] * width + c] = reduced[r * width + c];
+    }
+  }
+  return out;
+}
+
+TEST(DecodeContext, BlockedSchurReductionIsBitwiseTheRowAtATimeSolve) {
+  // p = 1..9 parity responders covers every remainder of the 4-row
+  // reduction blocks (p mod 4 = 0..3, with 0, 1 and 2 full blocks), and
+  // the widths cover the 2-column register tiles with and without an odd
+  // column. Both parity families, so the coefficients span both signs
+  // and magnitudes far from 1.
+  const std::size_t n = 24, k = 12;
+  for (const ParityKind kind :
+       {ParityKind::kGaussian, ParityKind::kVandermonde}) {
+    const GeneratorMatrix g(n, k, kind);
+    DecodeContext ctx(g);
+    util::Rng rng(kind == ParityKind::kGaussian ? 40u : 41u);
+    for (std::size_t p = 1; p <= 9; ++p) {
+      for (const std::size_t width : {1u, 2u, 3u, 16u}) {
+        // s = k - p systematic responders and p parity responders.
+        std::vector<std::size_t> sys(k), par(n - k);
+        std::iota(sys.begin(), sys.end(), std::size_t{0});
+        std::iota(par.begin(), par.end(), k);
+        rng.shuffle(sys);
+        rng.shuffle(par);
+        std::vector<std::size_t> subset(sys.begin(), sys.begin() + (k - p));
+        subset.insert(subset.end(), par.begin(), par.begin() + p);
+        std::sort(subset.begin(), subset.end());
+        const auto rhs = random_rhs(k, width, rng);
+        const auto want = straight_line_solve(g, subset, rhs, width);
+        auto got = rhs;
+        ctx.solve_inplace(subset, got, width);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i], want[i])
+              << "p " << p << " width " << width << " at " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(DecodeContext, ClearDropsEntriesAndStats) {
   const GeneratorMatrix g(8, 6);
   DecodeContext ctx(g);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/core/engine.h"
 #include "src/util/rng.h"
@@ -39,6 +40,14 @@ struct StrategyParam {
   StrategyKind strategy;
   std::size_t stragglers;
 };
+
+// Names each case from its fields. Without it gtest dumps the struct's
+// bytes, padding included, and the discovered test names change from run
+// to run.
+void PrintTo(const StrategyParam& p, std::ostream* os) {
+  *os << strategy_name(p.strategy) << " with " << p.stragglers
+      << " stragglers";
+}
 
 class FunctionalDecode : public ::testing::TestWithParam<StrategyParam> {};
 
