@@ -86,7 +86,7 @@ void CodedMatVecJob::compute_chunk_into(std::size_t worker, std::size_t chunk,
                                         std::span<const double> x_panel,
                                         std::size_t width,
                                         std::span<double> out) const {
-  S2C2_REQUIRE(functional(), "compute_chunk on a cost-only job");
+  S2C2_REQUIRE(functional(), "compute_chunk_into on a cost-only job");
   S2C2_REQUIRE(worker < n(), "worker out of range");
   S2C2_REQUIRE(chunk < chunks_, "chunk out of range");
   S2C2_REQUIRE(width >= 1 && x_panel.size() == data_cols_ * width,
@@ -100,22 +100,6 @@ void CodedMatVecJob::compute_chunk_into(std::size_t worker, std::size_t chunk,
     partitions_[worker].matmat_rows(chunk * rpc, (chunk + 1) * rpc, x_panel,
                                     width, out);
   }
-}
-
-std::vector<double> CodedMatVecJob::compute_chunk(
-    std::size_t worker, std::size_t chunk, std::span<const double> x) const {
-  std::vector<double> out(rows_per_chunk());
-  compute_chunk_into(worker, chunk, x, 1, out);
-  return out;
-}
-
-std::vector<double> CodedMatVecJob::compute_chunk_block(
-    std::size_t worker, std::size_t chunk, const linalg::Matrix& x) const {
-  S2C2_REQUIRE(x.rows() == data_cols_ && x.cols() >= 1,
-               "x panel shape mismatch");
-  std::vector<double> out(rows_per_chunk() * x.cols());
-  compute_chunk_into(worker, chunk, x.data(), x.cols(), out);
-  return out;
 }
 
 coding::ChunkedDecoder CodedMatVecJob::make_decoder(
@@ -142,18 +126,6 @@ void CodedMatVecJob::trim_block_into(const linalg::Matrix& decoded,
             decoded.data().begin() +
                 static_cast<std::ptrdiff_t>(data_rows_ * cols),
             y_block.mutable_data().begin());
-}
-
-linalg::Vector CodedMatVecJob::trim(const linalg::Matrix& decoded) const {
-  linalg::Vector y;
-  trim_into(decoded, y);
-  return y;
-}
-
-linalg::Matrix CodedMatVecJob::trim_block(const linalg::Matrix& decoded) const {
-  linalg::Matrix out;
-  trim_block_into(decoded, out);
-  return out;
 }
 
 double CodedMatVecJob::chunk_flops(std::size_t width) const {

@@ -6,8 +6,8 @@
 // movement** because every worker already stores an encoded partition.
 //
 // Two modes:
-//  * functional — real operator encoded; compute_chunk() runs the actual
-//    kernels so decode correctness is verifiable end to end;
+//  * functional — real operator encoded; compute_chunk_into() runs the
+//    actual kernels so decode correctness is verifiable end to end;
 //  * cost-only  — dimensions only; engines simulate latency shapes at
 //    scales where running the real kernels would be pointless.
 #pragma once
@@ -54,21 +54,11 @@ class CodedMatVecJob {
     return code_.generator();
   }
 
-  /// Worker-side kernel: values of partition `worker`, chunk `chunk`, times x.
-  [[nodiscard]] std::vector<double> compute_chunk(
-      std::size_t worker, std::size_t chunk, std::span<const double> x) const;
-
-  /// Block worker-side kernel: chunk rows of partition `worker` times a
-  /// data_cols x b panel X (row-major). Returns rows_per_chunk x b values
-  /// row-major; column j is bitwise compute_chunk on column j of X.
-  [[nodiscard]] std::vector<double> compute_chunk_block(
-      std::size_t worker, std::size_t chunk, const linalg::Matrix& x) const;
-
-  /// Unified fill-style kernel: writes the chunk's rows_per_chunk x width
-  /// row-major values for the data_cols x width panel `x_panel` straight
-  /// into `out` (e.g. a decoder's stage_chunk span) — the hot path's
-  /// zero-copy, zero-allocation form. width == 1 is bitwise compute_chunk;
-  /// width > 1 bitwise compute_chunk_block.
+  /// Worker-side kernel: writes chunk `chunk` of partition `worker` times
+  /// the data_cols x width panel `x_panel` (row-major) as rows_per_chunk x
+  /// width row-major values straight into `out` (e.g. a decoder's
+  /// stage_chunk span) — zero-copy and zero-allocation. Column j is
+  /// bitwise the width-1 product on column j of the panel.
   void compute_chunk_into(std::size_t worker, std::size_t chunk,
                           std::span<const double> x_panel, std::size_t width,
                           std::span<double> out) const;
@@ -81,14 +71,9 @@ class CodedMatVecJob {
   [[nodiscard]] coding::ChunkedDecoder make_decoder(
       coding::DecodeContext* context = nullptr, std::size_t width = 1) const;
 
-  /// Trims a decoded (k * partition_rows) x 1 result to the original rows.
-  [[nodiscard]] linalg::Vector trim(const linalg::Matrix& decoded) const;
-
-  /// Trims a decoded (k * partition_rows) x b block to data_rows x b.
-  [[nodiscard]] linalg::Matrix trim_block(const linalg::Matrix& decoded) const;
-
-  /// Fill-style trims: identical results into caller-owned storage whose
-  /// capacity survives across rounds (zero-allocation steady state).
+  /// Trims a decoded (k * partition_rows) x b result to its data_rows
+  /// original rows, into caller-owned storage whose capacity survives
+  /// across rounds (zero-allocation steady state).
   void trim_into(const linalg::Matrix& decoded, linalg::Vector& y) const;
   void trim_block_into(const linalg::Matrix& decoded,
                        linalg::Matrix& y_block) const;

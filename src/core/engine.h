@@ -75,16 +75,8 @@ class CodedComputeEngine : public RoundExecutor {
   [[nodiscard]] std::size_t chunk_result_bytes() const override {
     return job_.chunk_result_bytes();
   }
-  [[nodiscard]] double dispatch_work(std::size_t chunks) const override {
-    return static_cast<double>(chunks) * job_.chunk_flops() /
-           spec_.worker_flops;
-  }
-  [[nodiscard]] double accounted_work(std::size_t chunks) const override {
-    return static_cast<double>(chunks) *
-           (job_.chunk_flops() / spec_.worker_flops);
-  }
-  [[nodiscard]] double recovery_chunk_work() const override {
-    return job_.chunk_flops() / spec_.worker_flops;
+  [[nodiscard]] double chunk_flops() const override {
+    return job_.chunk_flops();
   }
   [[nodiscard]] bool recovery_survives_death() const override { return true; }
   [[nodiscard]] const char* quorum_failure_error() const override {
@@ -118,9 +110,6 @@ class CodedComputeEngine : public RoundExecutor {
                       std::span<const double> x) override;
   void decode_product_block(RoundResult& result, const RoundLedger& ledger,
                             const linalg::Matrix& x_block) override;
-  [[nodiscard]] AccountingStyle accounting_style() const override {
-    return AccountingStyle::kFullTelemetry;
-  }
 
  private:
   /// Shared verified-decode body of decode_product / decode_product_block:

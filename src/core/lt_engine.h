@@ -92,15 +92,7 @@ class LtCodedEngine final : public RoundExecutor {
   [[nodiscard]] std::size_t chunk_result_bytes() const override {
     return rows_per_chunk_ * sizeof(double);
   }
-  [[nodiscard]] double dispatch_work(std::size_t chunks) const override {
-    return static_cast<double>(chunks) * chunk_flops_ / spec_.worker_flops;
-  }
-  [[nodiscard]] double accounted_work(std::size_t chunks) const override {
-    return static_cast<double>(chunks) * (chunk_flops_ / spec_.worker_flops);
-  }
-  [[nodiscard]] double recovery_chunk_work() const override {
-    return chunk_flops_ / spec_.worker_flops;
-  }
+  [[nodiscard]] double chunk_flops() const override { return chunk_flops_; }
   void allocate_into(std::span<const double> speeds,
                      sched::Allocation& out) override;
   [[nodiscard]] std::size_t collection_count(
@@ -139,9 +131,6 @@ class LtCodedEngine final : public RoundExecutor {
                       std::span<const double> x) override;
   void decode_product_block(RoundResult& result, const RoundLedger& ledger,
                             const linalg::Matrix& x_block) override;
-  [[nodiscard]] AccountingStyle accounting_style() const override {
-    return AccountingStyle::kFullTelemetry;
-  }
 
  private:
   /// Decodes the used responders' symbols into result (vector or block).

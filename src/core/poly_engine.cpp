@@ -43,9 +43,8 @@ PolyCodedEngine::PolyCodedEngine(
   // Cost model: fixed diag(x)·B̃ scaling + per-chunk block-product work.
   pre_work_ = static_cast<double>(n_rows_) * static_cast<double>(out_cols_) /
               spec_.worker_flops;
-  chunk_work_ = 2.0 * static_cast<double>(rows_per_chunk_) *
-                static_cast<double>(n_rows_) *
-                static_cast<double>(out_cols_) / spec_.worker_flops;
+  chunk_flops_ = 2.0 * static_cast<double>(rows_per_chunk_) *
+                 static_cast<double>(n_rows_) * static_cast<double>(out_cols_);
   if (a_mat.has_value()) {
     S2C2_REQUIRE(a_mat->rows() == n_rows_ && a_mat->cols() == d_cols_,
                  "operand shape mismatch");

@@ -68,15 +68,8 @@ class PolyCodedEngine final : public RoundExecutor {
   [[nodiscard]] std::size_t chunk_result_bytes() const override {
     return rows_per_chunk_ * out_cols_ * 8;
   }
-  [[nodiscard]] double dispatch_work(std::size_t chunks) const override {
-    return pre_work_ + static_cast<double>(chunks) * chunk_work_;
-  }
-  [[nodiscard]] double accounted_work(std::size_t chunks) const override {
-    return pre_work_ + static_cast<double>(chunks) * chunk_work_;
-  }
-  [[nodiscard]] double recovery_chunk_work() const override {
-    return chunk_work_;
-  }
+  [[nodiscard]] double chunk_flops() const override { return chunk_flops_; }
+  [[nodiscard]] double fixed_work() const override { return pre_work_; }
   [[nodiscard]] bool recovery_survives_death() const override { return false; }
   [[nodiscard]] const char* quorum_failure_error() const override {
     return "cluster failure: fewer than a^2 responders";
@@ -105,9 +98,6 @@ class PolyCodedEngine final : public RoundExecutor {
   }
   void decode_product(RoundResult& result, const RoundLedger& ledger,
                       std::span<const double> x) override;
-  [[nodiscard]] AccountingStyle accounting_style() const override {
-    return AccountingStyle::kComputeOnly;
-  }
 
  private:
   coding::PolyCode code_;
@@ -118,8 +108,8 @@ class PolyCodedEngine final : public RoundExecutor {
   std::size_t out_rows_;        // d / a (padded to chunk multiple)
   std::size_t out_cols_;        // d / a
   std::size_t rows_per_chunk_;  // out_rows_ / chunks_per_partition
-  double pre_work_ = 0.0;   // fixed diag(x)·B̃ scaling per round
-  double chunk_work_ = 0.0;  // per-chunk block-product work
+  double pre_work_ = 0.0;     // fixed diag(x)·B̃ scaling per round
+  double chunk_flops_ = 0.0;  // per-chunk block-product flops
   std::vector<coding::PolyCode::WorkerOperands> operands_;  // functional
 };
 

@@ -151,14 +151,14 @@ std::size_t RoundExecutor::collection_count(
 }
 
 RoundExecutor::WorkerTiming RoundExecutor::simulate_worker(
-    std::size_t w, sim::Time t0, std::size_t chunks,
+    std::size_t w, sim::Time t0, std::size_t chunks, double work,
     std::size_t width) const {
   WorkerTiming t;
   t.assigned_chunks = chunks;
   if (chunks == 0) return t;
   t.x_arrival = t0 + spec_.net.transfer_time(width * x_bytes());
   t.compute_done = spec_.traces[w].time_to_complete(
-      t.x_arrival, dispatch_work(chunks) * static_cast<double>(width));
+      t.x_arrival, work * static_cast<double>(width));
   t.response =
       t.compute_done == kInf
           ? kInf
@@ -211,8 +211,21 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
   const bool functional =
       x_block ? functional_block_round(*x_block) : functional_round(x);
   const bool timeout_collection = strategy_uses_recovery(kind());
-  const bool full_telemetry =
-      accounting_style() == AccountingStyle::kFullTelemetry;
+  // The cost hooks, read once. Dispatch evaluates
+  // fixed + (chunks · flops) / worker_flops while accounting, observation
+  // and recovery use fixed + chunks · (flops / worker_flops). The two
+  // orders differ in the last bit, and both stay: fingerprint_guard_test
+  // pins the s2c2 bits, and so does the executor copy in
+  // bench/e2e/replay.cpp.
+  const double fixed = fixed_work();
+  const double flops = chunk_flops();
+  const double chunk_work = flops / spec_.worker_flops;
+  const auto dispatch_work = [&](std::size_t chunks) {
+    return fixed + static_cast<double>(chunks) * flops / spec_.worker_flops;
+  };
+  const auto accounted_work = [&](std::size_t chunks) {
+    return fixed + static_cast<double>(chunks) * chunk_work;
+  };
 
   // A recycled result keeps its payloads' capacity; stats are re-written
   // wholesale and every payload is either filled or reset below.
@@ -226,7 +239,8 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
   timing_.resize(n);
   std::vector<WorkerTiming>& timing = timing_;
   for (std::size_t w = 0; w < n; ++w) {
-    timing[w] = simulate_worker(w, t0, alloc.per_worker[w].count, width);
+    const std::size_t chunks = alloc.per_worker[w].count;
+    timing[w] = simulate_worker(w, t0, chunks, dispatch_work(chunks), width);
   }
 
   // Workers with assigned work, ordered by response time.
@@ -407,7 +421,7 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
           const sim::Time start =
               std::max(wave_issue, free_at[w]) + spec_.net.latency_s;
           const double work =
-              static_cast<double>(extras.size()) * recovery_chunk_work() * bw;
+              static_cast<double>(extras.size()) * chunk_work * bw;
           const sim::Time done = spec_.traces[w].time_to_complete(start, work);
           const sim::Time send = spec_.net.transfer_time(
               extras.size() * width * chunk_result_bytes());
@@ -518,45 +532,32 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
   for (std::size_t w : assigned) {
     const double base_work = accounted_work(timing[w].assigned_chunks) * bw;
     const double extra_work =
-        static_cast<double>(extra_chunks[w].size()) * recovery_chunk_work() *
-        bw;
+        static_cast<double>(extra_chunks[w].size()) * chunk_work * bw;
     if (used[w]) {
-      if (full_telemetry) {
-        accounting_.add_useful(w, base_work);
-        accounting_.add_useful(w, extra_work);
-        // Busy time covers both the original window and the recovery
-        // window spent on reassigned extras; otherwise utilization is
-        // under-reported exactly in the rounds where the timeout fires.
-        accounting_.add_busy(w, timing[w].compute_done - timing[w].x_arrival +
-                                    recovery_busy[w]);
-        if (recovery_waste[w] > 0.0) {
-          accounting_.add_wasted(w, recovery_waste[w]);
-        }
-      } else {
-        accounting_.add_useful(w, base_work + extra_work);
+      accounting_.add_useful(w, base_work);
+      accounting_.add_useful(w, extra_work);
+      // Busy time covers both the original window and the recovery
+      // window spent on reassigned extras; otherwise utilization is
+      // under-reported exactly in the rounds where the timeout fires.
+      accounting_.add_busy(w, timing[w].compute_done - timing[w].x_arrival +
+                                  recovery_busy[w]);
+      if (recovery_waste[w] > 0.0) {
+        accounting_.add_wasted(w, recovery_waste[w]);
       }
-    } else if (full_telemetry) {
+    } else {
       const double done = std::min(
           base_work,
           spec_.traces[w].work_between(timing[w].x_arrival,
                                        std::max(cancel_time,
                                                 timing[w].x_arrival)));
       accounting_.add_wasted(w, done);
-    } else {
-      const sim::Time until = std::max(cancel_time, timing[w].x_arrival + 1e-9);
-      const double done = std::min(
-          base_work,
-          spec_.traces[w].work_between(timing[w].x_arrival, until));
-      accounting_.add_wasted(w, done);
     }
-    if (full_telemetry) {
-      accounting_.add_traffic(
-          w,
-          static_cast<double>((timing[w].assigned_chunks +
-                               extra_chunks[w].size()) *
-                              width * chunk_result_bytes()),
-          static_cast<double>(width * x_bytes()));
-    }
+    accounting_.add_traffic(
+        w,
+        static_cast<double>((timing[w].assigned_chunks +
+                             extra_chunks[w].size()) *
+                            width * chunk_result_bytes()),
+        static_cast<double>(width * x_bytes()));
   }
 
   // ---- observed speeds -> predictor ----
@@ -579,19 +580,13 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
       // time is a sizable round fraction) and mis-training the predictor.
       obs = accounted_work(timing[w].assigned_chunks) * bw /
             (timing[w].compute_done - timing[w].x_arrival);
-    } else if (full_telemetry) {
+    } else {
+      // Cancelled: the work the trace allowed up to the cancel, unclamped
+      // by the assignment — a worker that finished computing but was
+      // cancelled mid-transfer still observes its true speed.
       const sim::Time until = std::max(cancel_time, timing[w].x_arrival + 1e-9);
       obs = spec_.traces[w].work_between(timing[w].x_arrival, until) /
             (until - timing[w].x_arrival);
-    } else {
-      // kComputeOnly clamps the cancelled worker's progress to its
-      // assigned work (a worker that finished computing but was cancelled
-      // mid-transfer observes at most its assignment's speed).
-      const sim::Time until = std::max(cancel_time, timing[w].x_arrival + 1e-9);
-      const double done = std::min(
-          accounted_work(timing[w].assigned_chunks) * bw,
-          spec_.traces[w].work_between(timing[w].x_arrival, until));
-      obs = done / (until - timing[w].x_arrival);
     }
     result.observed_speeds[w] = obs;
     if (obs > 0.0) {
@@ -615,8 +610,7 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
       health_.record_pulse(w, result.observed_speeds[w]);
     } else if (used[w]) {
       const double extra_work =
-          static_cast<double>(extra_chunks[w].size()) * recovery_chunk_work() *
-          bw;
+          static_cast<double>(extra_chunks[w].size()) * chunk_work * bw;
       const sim::Time window = timing[w].compute_done - timing[w].x_arrival +
                                recovery_busy[w];
       health_.record_pulse(

@@ -22,10 +22,14 @@
 // §5 for why this beats the paper's "average of the first k" wording
 // under strong speed spread.
 //
-// Bitwise-behavior contract: the executor reproduces the pre-unification
-// engines' floating-point arithmetic exactly (tests/fingerprint_guard_test
-// pins it). The two AccountingStyle values below preserve the engines'
-// historically different accounting arithmetic — see the enum comment.
+// Accounting contract: every coded strategy books a round the same way —
+// a used worker's base and recovery work as two useful adds (fingerprints
+// hash accounting totals, and double addition is not associative, so the
+// order of add_useful calls is behavior), its busy window including
+// recovery, any recovery waste, and its traffic; a cancelled worker's
+// partial progress as waste, and its observed speed as the unclamped work
+// it did per second up to the cancel. tests/fingerprint_guard_test pins
+// the resulting bits.
 #pragma once
 
 #include <memory>
@@ -91,38 +95,18 @@ class RoundExecutor : public StrategyEngine {
     const std::vector<std::vector<std::size_t>>& byzantine_chunk_workers;
   };
 
-  /// How a strategy historically booked work into sim::Accounting. The
-  /// two styles are bitwise-preserved from the pre-unification engines:
-  /// fingerprints hash accounting totals, and double addition is not
-  /// associative, so the *order* of add_useful calls is behavior.
-  enum class AccountingStyle {
-    /// MDS/S2C2 engine legacy: useful work booked as base + recovery in
-    /// two adds, busy time and traffic tracked, recovery waste booked,
-    /// cancelled workers' observed speed left unclamped.
-    kFullTelemetry,
-    /// Poly engine legacy: one combined useful add, compute accounting
-    /// only (no busy/traffic), cancelled workers' observation clamped to
-    /// their assigned work.
-    kComputeOnly,
-  };
-
   // ---- geometry / cost hooks -------------------------------------------
   /// Responses a decode needs: k for MDS codes, a² for polynomial codes.
   [[nodiscard]] virtual std::size_t quorum() const = 0;
   /// Input-broadcast and per-chunk response sizes on the wire.
   [[nodiscard]] virtual std::size_t x_bytes() const = 0;
   [[nodiscard]] virtual std::size_t chunk_result_bytes() const = 0;
-  /// Unit-speed seconds of a worker's original assignment (may include a
-  /// fixed per-round term, e.g. poly's diag(x)·B̃ scaling).
-  [[nodiscard]] virtual double dispatch_work(std::size_t chunks) const = 0;
-  /// Unit-speed seconds booked into accounting for the same assignment.
-  /// Kept separate from dispatch_work: the MDS engine historically used
-  /// (chunks · flops) / worker_flops when dispatching but
-  /// chunks · (flops / worker_flops) when accounting, and the last-bit
-  /// difference is fingerprinted behavior.
-  [[nodiscard]] virtual double accounted_work(std::size_t chunks) const = 0;
-  /// Unit-speed seconds per chunk reassigned during recovery.
-  [[nodiscard]] virtual double recovery_chunk_work() const = 0;
+  /// Flops of one chunk's product for a single RHS column; the executor
+  /// turns it into unit-speed seconds through spec_.worker_flops.
+  [[nodiscard]] virtual double chunk_flops() const = 0;
+  /// Unit-speed seconds every assigned worker spends once per round on
+  /// top of its chunks (poly's diag(x)·B̃ scaling). Default 0.
+  [[nodiscard]] virtual double fixed_work() const { return 0.0; }
 
   // ---- allocation hook --------------------------------------------------
   /// Chunk allocation from predicted speeds, filled into `out` (which
@@ -189,9 +173,6 @@ class RoundExecutor : public StrategyEngine {
                                     const RoundLedger& ledger,
                                     const linalg::Matrix& x_block);
 
-  // ---- accounting -------------------------------------------------------
-  [[nodiscard]] virtual AccountingStyle accounting_style() const = 0;
-
   [[nodiscard]] double timeout_factor() const noexcept {
     return timeout_factor_;
   }
@@ -228,8 +209,9 @@ class RoundExecutor : public StrategyEngine {
                                            const linalg::Matrix* x_block,
                                            std::size_t width);
   void predict_speeds(sim::Time t0, std::vector<double>& out);
+  /// `work` is the unit-speed seconds of the assignment for one column.
   [[nodiscard]] WorkerTiming simulate_worker(std::size_t w, sim::Time t0,
-                                             std::size_t chunks,
+                                             std::size_t chunks, double work,
                                              std::size_t width) const;
 
   bool oracle_speeds_;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "src/coding/chunked_decoder.h"
@@ -78,6 +79,15 @@ struct CleanParam {
   std::size_t n, k, chunks, rpc;
   ParityKind kind;
 };
+
+// Names each case from its fields. Without it gtest dumps the struct's
+// bytes, padding included, and the discovered test names change from
+// build to build.
+void PrintTo(const CleanParam& p, std::ostream* os) {
+  *os << "n" << p.n << " k" << p.k << " " << p.chunks << " chunks x "
+      << p.rpc << " rows "
+      << (p.kind == ParityKind::kGaussian ? "gaussian" : "vandermonde");
+}
 
 class CleanVerification : public ::testing::TestWithParam<CleanParam> {};
 

@@ -1,6 +1,8 @@
 // Tests for the chunk-granular MDS decoder — the numerical heart of S2C2.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/coding/chunked_decoder.h"
 #include "src/coding/mds_code.h"
 #include "src/util/rng.h"
@@ -152,6 +154,15 @@ struct DecodeParam {
   std::size_t n, k, chunks, rpc;
   ParityKind kind;
 };
+
+// Names each case from its fields. Without it gtest dumps the struct's
+// bytes, padding included, and the discovered test names change from
+// build to build.
+void PrintTo(const DecodeParam& p, std::ostream* os) {
+  *os << "n" << p.n << " k" << p.k << " " << p.chunks << " chunks x "
+      << p.rpc << " rows "
+      << (p.kind == ParityKind::kGaussian ? "gaussian" : "vandermonde");
+}
 
 class RandomCoverageDecode : public ::testing::TestWithParam<DecodeParam> {};
 

@@ -9,6 +9,8 @@
 //     rateless lt kind);
 //   * accounting conservation — per worker, useful + wasted never exceeds
 //     the busy window (idle = busy - useful - wasted >= 0);
+//   * one accounting path for the coded kinds — busy time and traffic
+//     booked, cancelled workers observed at their true trace speed;
 //   * run_rounds product forwarding against the direct product at 1e-9;
 //   * block-round width-1 identity, or a clean supports_block_rounds()
 //     == false rejection for width > 1;
@@ -17,6 +19,7 @@
 //   * decode-context cache warming for the coded kinds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -172,10 +175,10 @@ TEST(EngineConformance, AccountingConservationPerWorker) {
   // every worker whose busy window is tracked, useful + wasted <= busy.
   // Two historical conventions are load-bearing here (total_busy is hashed
   // into the pinned job-suite golden, so they are wire format): the
-  // compute-only styles (poly, the uncoded baselines) book work without
-  // busy telemetry at all, and full-telemetry engines book a cancelled
-  // worker's partial progress as waste without opening a busy window —
-  // both surface as busy_time == 0, never as an over-booked window.
+  // uncoded baselines book work without busy telemetry at all, and the
+  // coded kinds book a cancelled worker's partial progress as waste
+  // without opening a busy window — both surface as busy_time == 0, never
+  // as an over-booked window.
   // Cost-only at paper-ish scale so the uncoded baselines' speculative /
   // rebalancing dynamics are exercised too.
   for (const StrategyKind k : core::registered_strategies()) {
@@ -199,7 +202,7 @@ TEST(EngineConformance, AccountingConservationPerWorker) {
           << strategy_name(k) << " worker " << w;
       busy_sum += acc.worker(w).busy_time;
     }
-    if (busy_sum == 0.0) continue;  // compute-only accounting style
+    if (busy_sum == 0.0) continue;  // uncoded baseline: no busy telemetry
     for (std::size_t w = 0; w < acc.num_workers(); ++w) {
       const sim::WorkerAccount& wa = acc.worker(w);
       if (wa.busy_time > 0.0) {
@@ -215,6 +218,85 @@ TEST(EngineConformance, AccountingConservationPerWorker) {
     }
     // Cluster-wide, the tracked busy time must cover all useful work.
     EXPECT_GE(busy_sum + 1e-9, acc.total_useful()) << strategy_name(k);
+  }
+}
+
+TEST(EngineConformance, OneAccountingPathForEveryCodedKind) {
+  // Every coded kind books a round through the same accounting path:
+  // busy time and traffic for the workers it uses, and a cancelled
+  // worker observed at the speed its trace really ran, unclamped by its
+  // assignment. Constant traces make that speed known exactly: nine
+  // workers at 1.0 and three at 0.3. The last-value predictor starts
+  // every worker at 1.0, so the first rounds over-assign the slow three
+  // and the §4.3 kinds cancel them at the timeout; the conventional
+  // kinds cancel them after the fastest quorum answers. The geometry is
+  // sized so that, on a 1 ms network latency, a slow worker finishes its
+  // full assignment ~0.9 ms after its input arrives, before the
+  // fastest-quorum responses land at ~1.3 ms, while its own response
+  // lands after them: the cancel catches it mid-transfer (checked below
+  // for poly-conventional, whose workers all carry the full partition).
+  std::vector<sim::SpeedTrace> traces = test::uniform_traces(12);
+  for (std::size_t w = 9; w < 12; ++w) {
+    traces[w] = sim::SpeedTrace::constant(0.3);
+  }
+  for (const StrategyKind k : core::registered_strategies()) {
+    if (!core::strategy_is_coded(k)) continue;
+    EngineParams p;
+    p.cluster = test::make_spec(traces);
+    p.cluster.net.latency_s = 1e-3;
+    // ~2.7e3 flops per full partition on either geometry: 270 x 45 over
+    // k = 9 for the matvec kinds, a 20 x 24 Hessian at a = 3 for poly.
+    p.rows = is_poly(k) ? 20 : 270;
+    p.cols = is_poly(k) ? 24 : 45;
+    p.k = 9;
+    p.a_blocks = 3;
+    p.chunks_per_partition = 8;
+    const auto engine = core::make_engine(k, std::move(p));
+    const sim::Accounting& acc = engine->accounting();
+    std::size_t cancelled = 0;
+    std::size_t finished_before_cancel = 0;
+    for (std::size_t round = 0; round < 4; ++round) {
+      std::vector<sim::WorkerAccount> before;
+      for (std::size_t w = 0; w < 12; ++w) before.push_back(acc.worker(w));
+      const core::RoundResult r = engine->run_round();
+      double used_work = 0.0;
+      for (std::size_t w = 0; w < 12; ++w) {
+        used_work = std::max(used_work,
+                             acc.worker(w).useful_work - before[w].useful_work);
+      }
+      for (std::size_t w = 0; w < 12; ++w) {
+        const double useful = acc.worker(w).useful_work - before[w].useful_work;
+        const double wasted = acc.worker(w).wasted_work - before[w].wasted_work;
+        if (useful != 0.0 || wasted == 0.0) continue;  // used or idle
+        ++cancelled;
+        const double speed = traces[w].speed_at(0.0);
+        EXPECT_NEAR(r.observed_speeds[w], speed, 1e-12 * speed)
+            << strategy_name(k) << " round " << round << " worker " << w
+            << ": a cancelled worker must observe its trace speed";
+        if (std::abs(wasted - used_work) <= 1e-12 * used_work) {
+          ++finished_before_cancel;
+        }
+      }
+    }
+    EXPECT_GT(cancelled, 0u)
+        << strategy_name(k) << ": the rig must cancel a worker";
+    if (k == StrategyKind::kPolyConventional) {
+      EXPECT_GT(finished_before_cancel, 0u)
+          << "a poly-conventional worker must finish computing before the "
+          << "cancel, so its whole assignment is booked as waste";
+    }
+    for (std::size_t w = 0; w < 12; ++w) {
+      const sim::WorkerAccount& wa = acc.worker(w);
+      if (wa.useful_work + wa.wasted_work == 0.0) continue;  // never assigned
+      EXPECT_GT(wa.bytes_sent, 0.0) << strategy_name(k) << " worker " << w;
+      EXPECT_GT(wa.bytes_received, 0.0)
+          << strategy_name(k) << " worker " << w;
+      // A worker that is only ever cancelled opens no busy window (the
+      // cancelled-worker convention); every worker whose work is used does.
+      if (wa.useful_work > 0.0) {
+        EXPECT_GT(wa.busy_time, 0.0) << strategy_name(k) << " worker " << w;
+      }
+    }
   }
 }
 

@@ -5,7 +5,7 @@
 // behavioral drift in the engines, the round lifecycle, the harness
 // salting, or the predictor plumbing shows up as a mismatch here — even a
 // last-bit change in one double. Refactors (engine unification, executor
-// changes) must keep all four goldens byte-identical; a legitimate
+// changes) must keep every golden byte-identical; a legitimate
 // behavioral change must update them in the same commit that explains why.
 //
 // To regenerate after an intentional change: run this suite and copy the
@@ -27,8 +27,11 @@ namespace s2c2 {
 namespace {
 
 // Pinned at PR 5 (engine unification), seed 42.
-constexpr char kSmallCostOnlyGolden[] = "f0771b8a4ccac94c";
-constexpr char kSmallFunctionalGolden[] = "c491678f9207cf5c";
+// Re-pinned when poly joined the one accounting path: its dispatch now
+// evaluates (chunks · flops) / worker_flops, moving 6 poly cells by <= 4.5e-16
+// relative.
+constexpr char kSmallCostOnlyGolden[] = "dd701a1285133295";
+constexpr char kSmallFunctionalGolden[] = "5459bbe40e4c045d";
 constexpr char kLargeScaleCellGolden[] = "52243eed9f56ea89";
 constexpr char kJobSuiteGolden[] = "16e232dec5ebdda4";
 // Pinned at PR 6 (telemetry + byzantine verification), seed 42. Unlike the
@@ -36,7 +39,10 @@ constexpr char kJobSuiteGolden[] = "16e232dec5ebdda4";
 // counters (byzantine_detected, corrupted_chunks, degrading_workers,
 // health_min_ttf), so this golden additionally guards the detection and
 // telemetry pipelines — and the uncoded baselines' deterministic failures.
-constexpr char kRobustnessSliceGolden[] = "3fddcc5fa8ba4a99";
+// Re-pinned when poly joined the one accounting path: its cancelled
+// Byzantine workers are observed unclamped, moving the 4 poly x byzantine
+// cells (and the 2 poly x fail-slow cells by <= 6.8e-16 relative).
+constexpr char kRobustnessSliceGolden[] = "3e346d8dabd7ba5e";
 // Pinned at PR 8 (rateless-LT + adaptive gradient coding), seed 42: the
 // new kinds got NEW engine-axis ids (lt=4, agc=5) rather than renumbering
 // the legacy wire ids, so this golden guards the new engines' full

@@ -3,6 +3,8 @@
 // families.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/coding/generator_matrix.h"
 #include "src/linalg/lu.h"
 #include "src/util/rng.h"
@@ -55,6 +57,14 @@ struct MdsParam {
   std::size_t k;
   ParityKind kind;
 };
+
+// Names each case from its fields. Without it gtest dumps the struct's
+// bytes, padding included, and the discovered test names change from
+// build to build.
+void PrintTo(const MdsParam& p, std::ostream* os) {
+  *os << "n" << p.n << " k" << p.k << " "
+      << (p.kind == ParityKind::kGaussian ? "gaussian" : "vandermonde");
+}
 
 class AnyKInvertible : public ::testing::TestWithParam<MdsParam> {};
 

@@ -1,6 +1,8 @@
 // Tests for polynomial codes (bilinear Hessian computation, paper §5).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/coding/poly_code.h"
 #include "src/util/rng.h"
 
@@ -54,6 +56,14 @@ struct PolyParam {
   std::size_t n, a, chunks;
   EvalPoints points;
 };
+
+// Names each case from its fields. Without it gtest dumps the struct's
+// bytes, padding included, and the discovered test names change from
+// build to build.
+void PrintTo(const PolyParam& p, std::ostream* os) {
+  *os << "n" << p.n << " a" << p.a << " " << p.chunks << " chunks "
+      << (p.points == EvalPoints::kChebyshev ? "chebyshev" : "integers");
+}
 
 class PolyDecode : public ::testing::TestWithParam<PolyParam> {};
 
