@@ -16,8 +16,8 @@
 #include <iostream>
 #include <string>
 
-#include "bench/bench_common.h"
 #include "src/harness/matrix_runner.h"
+#include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
 int main(int argc, char** argv) {
@@ -47,11 +47,10 @@ int main(int argc, char** argv) {
   axes.workloads = {harness::WorkloadKind::kLogisticRegression,
                     harness::WorkloadKind::kPageRank};
 
-  bench::print_header(
-      "Scenario matrix — engine x workload x trace x scale x predictor",
-      "cost-only paper-scale operators, seed " + std::to_string(cfg.seed) +
-          ", " + std::to_string(cfg.rounds) + " rounds/cell, " +
-          std::to_string(harness::expand_axes(cfg, axes).size()) + " cells");
+  std::cout << "\n=== Scenario matrix — engine x workload x trace x scale x "
+               "predictor ===\ncost-only paper-scale operators, seed "
+            << cfg.seed << ", " << cfg.rounds << " rounds/cell, "
+            << harness::expand_axes(cfg, axes).size() << " cells\n\n";
 
   // Untimed warmup: trains the per-column predictor models once, so the
   // timed runs compare the executor rather than who pays the model cache.

@@ -8,13 +8,17 @@
 //   build/examples/repro_cli --app pagerank --strategy mds --trace volatile
 //
 // Flags (all optional):
-//   --report         run both sweeps and write CSVs + REPRODUCTION.md
+//   --report         run both sweeps and the paper-claims table, write
+//                    CSVs + REPRODUCTION.md; exits 1 (after writing) when
+//                    a claim neither holds nor cites a known deviation
 //   --out DIR        report output directory            (default report)
-//   --jobs N         suite worker threads (0 = all hardware threads;
-//                    default 1 — artifacts are byte-identical either way)
+//   --jobs N         suite and claims worker threads (0 = all hardware
+//                    threads, at most 1024; default 1 — artifacts are
+//                    byte-identical either way)
 //   --inner-jobs N   intra-round parallelism inside each job's engines
 //                    (large per-chunk products of the MDS-family engines;
-//                    0 = all hardware threads, default 1 = serial).
+//                    0 = all hardware threads, at most 1024, default
+//                    1 = serial).
 //                    Composes with --jobs and never changes a fingerprint
 //   --app X          single job: logreg|svm|pagerank|graphfilter
 //   --strategy X     single job: s2c2|mds|replication|overdecomp|lt|agc
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "src/report/report.h"
+#include "src/util/parse.h"
 #include "src/util/table.h"
 
 namespace {
@@ -125,12 +130,16 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    // Strict numeric values (src/util/parse.h); thread counts are capped.
+    auto count = [&] { return util::parse_unsigned(value(i), flag); };
+    auto threads = [&] {
+      return util::parse_unsigned(value(i), flag, util::kMaxThreadsFlag);
+    };
     if (flag == "--report") o.write_report = true;
     else if (flag == "--help" || flag == "-h") o.help = true;
     else if (flag == "--out") o.report.out_dir = value(i);
-    else if (flag == "--jobs") o.report.jobs = std::stoul(value(i));
-    else if (flag == "--inner-jobs")
-      o.report.job_base.inner_jobs = std::stoul(value(i));
+    else if (flag == "--jobs") o.report.jobs = threads();
+    else if (flag == "--inner-jobs") o.report.job_base.inner_jobs = threads();
     else if (flag == "--app") {
       o.report.job_base.app = parse_app(value(i));
       o.single = true;
@@ -159,19 +168,19 @@ Options parse(int argc, char** argv) {
     } else if (flag == "--predictor") {
       o.report.job_base.predictor = parse_predictor(value(i));
     } else if (flag == "--workers") {
-      o.report.job_base.workers = std::stoul(value(i));
+      o.report.job_base.workers = count();
     } else if (flag == "--k") {
-      o.report.job_base.k = std::stoul(value(i));
+      o.report.job_base.k = count();
     } else if (flag == "--stragglers") {
-      o.report.job_base.stragglers = std::stoul(value(i));
+      o.report.job_base.stragglers = count();
     } else if (flag == "--iterations") {
-      o.report.job_base.max_iterations = std::stoul(value(i));
+      o.report.job_base.max_iterations = count();
     } else if (flag == "--tolerance") {
-      o.report.job_base.tolerance = std::stod(value(i));
+      o.report.job_base.tolerance = util::parse_double(value(i), flag);
     } else if (flag == "--chunks") {
-      o.report.job_base.chunks_per_partition = std::stoul(value(i));
+      o.report.job_base.chunks_per_partition = count();
     } else if (flag == "--seed") {
-      o.report.job_base.seed = std::stoull(value(i));
+      o.report.job_base.seed = count();
     } else {
       throw std::invalid_argument("unknown flag: " + flag);
     }
@@ -245,7 +254,8 @@ int run_report(const Options& o) {
             << (o.report.jobs == 0 ? std::string("auto")
                                    : std::to_string(o.report.jobs))
             << ", seed " << o.report.job_base.seed << ")...\n";
-  const report::ReportInputs inputs = report::run_report_inputs(o.report);
+  report::ReportInputs inputs = report::run_report_inputs(o.report);
+  inputs.claims = report::run_claims(o.report.jobs);
   const report::ReportArtifacts art =
       report::write_report(inputs, o.report.out_dir);
   print_suite(inputs.suite);
@@ -256,7 +266,17 @@ int run_report(const Options& o) {
   std::cout << "suite fingerprint: " << art.suite_fingerprint
             << "\npredictor matrix fingerprint: " << art.matrix_fingerprint
             << "\n";
-  return 0;
+  // The artifacts are written first, so a failing claim can be read in
+  // REPRODUCTION.md.
+  const auto failures =
+      report::claim_failures(inputs.claims, report::known_deviations());
+  std::cout << "paper claims: " << inputs.claims.size() << " rows, "
+            << failures.size() << " failing\n";
+  if (failures.empty()) return 0;
+  std::cerr << "error: " << failures.size()
+            << " paper claim(s) neither hold nor cite a known deviation:\n";
+  for (const std::string& f : failures) std::cerr << "  " << f << "\n";
+  return 1;
 }
 
 int run_suite(const Options& o) {

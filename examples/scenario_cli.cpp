@@ -31,12 +31,14 @@
 //   --requests N     serve mode: open-loop requests per cell (default 64)
 //   --batch B        serve mode: coalescing cap max_batch (default 16)
 //   --serve-json P   serve mode: also write the cells as JSON to path P
-//   --jobs N         matrix worker threads (0 = all hardware threads;
-//                    default 1 — results are byte-identical either way)
+//   --jobs N         matrix worker threads (0 = all hardware threads,
+//                    at most 1024; default 1 — results are
+//                    byte-identical either way)
 //   --inner-jobs N   intra-round parallelism inside each cell's engine:
 //                    an MDS-family engine's per-chunk products fan out
 //                    over an N-way engine pool when each is big enough to
-//                    pay (0 = all hardware threads; default 1 = serial).
+//                    pay (0 = all hardware threads, at most 1024;
+//                    default 1 = serial).
 //                    Composes with --jobs and never changes a fingerprint
 //   --axis K=V,V...  restrict/widen a matrix axis; repeatable. Axes:
 //                      engines     s2c2|replication|poly|overdecomp|
@@ -71,6 +73,7 @@
 
 #include "src/harness/matrix_runner.h"
 #include "src/harness/serve.h"
+#include "src/util/parse.h"
 #include "src/util/table.h"
 
 namespace {
@@ -191,7 +194,7 @@ void apply_axis(harness::MatrixAxes& axes, const std::string& spec) {
   } else if (name == "sizes") {
     axes.cluster_sizes.clear();
     for (const auto& v : values) {
-      axes.cluster_sizes.push_back(std::stoul(v));
+      axes.cluster_sizes.push_back(util::parse_unsigned(v, "--axis sizes"));
     }
   } else if (name == "predictors") {
     axes.predictors.clear();
@@ -212,6 +215,11 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    // Strict numeric values (src/util/parse.h); thread counts are capped.
+    auto count = [&] { return util::parse_unsigned(value(i), flag); };
+    auto threads = [&] {
+      return util::parse_unsigned(value(i), flag, util::kMaxThreadsFlag);
+    };
     if (flag == "--help" || flag == "-h") o.help = true;
     else if (flag == "--matrix") o.matrix = true;
     else if (flag == "--large-scale") {
@@ -223,12 +231,12 @@ Options parse(int argc, char** argv) {
       o.robustness = true;
     }
     else if (flag == "--serve") o.serve = true;
-    else if (flag == "--requests") o.requests = std::stoul(value(i));
-    else if (flag == "--batch") o.batch = std::stoul(value(i));
+    else if (flag == "--requests") o.requests = count();
+    else if (flag == "--batch") o.batch = count();
     else if (flag == "--serve-json") o.serve_json = value(i);
-    else if (flag == "--jobs") o.runner.jobs = std::stoul(value(i));
+    else if (flag == "--jobs") o.runner.jobs = threads();
     else if (flag == "--inner-jobs") {
-      const std::size_t n = std::stoul(value(i));
+      const std::size_t n = threads();
       o.runner.inner_jobs = n;
       o.config.inner_jobs = n;  // single-cell and serve modes read config
     }
@@ -239,14 +247,14 @@ Options parse(int argc, char** argv) {
     else if (flag == "--trace") o.trace = parse_trace(value(i));
     else if (flag == "--predictor")
       o.config.predictor = parse_predictor(value(i));
-    else if (flag == "--workers") o.config.workers = std::stoul(value(i));
-    else if (flag == "--k") o.config.k = std::stoul(value(i));
-    else if (flag == "--stragglers") o.config.stragglers = std::stoul(value(i));
-    else if (flag == "--rounds") o.config.rounds = std::stoul(value(i));
-    else if (flag == "--chunks")
-      o.config.chunks_per_partition = std::stoul(value(i));
-    else if (flag == "--seed") o.config.seed = std::stoull(value(i));
-    else if (flag == "--scale") o.config.scale = std::stod(value(i));
+    else if (flag == "--workers") o.config.workers = count();
+    else if (flag == "--k") o.config.k = count();
+    else if (flag == "--stragglers") o.config.stragglers = count();
+    else if (flag == "--rounds") o.config.rounds = count();
+    else if (flag == "--chunks") o.config.chunks_per_partition = count();
+    else if (flag == "--seed") o.config.seed = count();
+    else if (flag == "--scale")
+      o.config.scale = util::parse_double(value(i), flag);
     else if (flag == "--functional") o.config.functional = true;
     else throw std::invalid_argument("unknown flag: " + flag);
   }

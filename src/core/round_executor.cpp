@@ -308,7 +308,8 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
     // Under strong speed spread the fastest workers hit the partition cap
     // and finish early, which drags the average below the balanced finish
     // time of the uncapped workers and would fire the timeout every round
-    // — see docs/DESIGN.md §5 and bench_abl_timeout.)
+    // — see docs/DESIGN.md §5 and the `abl.timeout-*` claims in
+    // docs/REPRODUCTION.md.)
     const double avg_q = timing[by_response[q - 1]].response - t0;
     sim::Time deadline = t0 + timeout_factor_ * avg_q;
 

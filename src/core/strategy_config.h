@@ -121,7 +121,8 @@ struct EngineConfig {
 
   /// Chunk granularity per partition (over-decomposition factor). The
   /// paper's Algorithm 1 uses Σu_i; a fixed power of two behaves the same
-  /// and keeps decode group counts stable (ablated in bench_abl_granularity).
+  /// and keeps decode group counts stable (claim `abl.granularity-flat` in
+  /// docs/REPRODUCTION.md).
   std::size_t chunks_per_partition = 24;
 
   /// Timeout = factor x (mean response time of first k) — paper §4.3 picks

@@ -71,7 +71,7 @@ class FrozenSpeedPredictor final : public SpeedPredictor {
 
 /// Wraps another predictor and corrupts a fraction of predictions with
 /// multiplicative error — used to study S2C2 under controlled
-/// mis-prediction rates (ablation benches).
+/// mis-prediction rates (tests/fault_injection_test.cpp).
 class NoisyPredictor final : public SpeedPredictor {
  public:
   NoisyPredictor(std::unique_ptr<SpeedPredictor> inner, double corrupt_prob,

@@ -11,8 +11,10 @@
 //   * predictor_sensitivity.csv — S2C2 latency/timeout behaviour per speed
 //                                predictor (§6.1 lineup);
 //   * REPRODUCTION.md          — generated report: figure-by-figure mapping
-//                                table, the tables above rendered as
-//                                markdown, and the known-deviations list.
+//                                table, the checked paper-claims table
+//                                (src/report/claims.h), the tables above
+//                                rendered as markdown, and the
+//                                known-deviations list.
 //
 // Determinism contract: every builder below is a pure function of its
 // inputs, numbers are formatted with fixed printf conversions in the C
@@ -27,6 +29,7 @@
 
 #include "src/harness/job_driver.h"
 #include "src/harness/matrix_runner.h"
+#include "src/report/claims.h"
 
 namespace s2c2::report {
 
@@ -34,6 +37,9 @@ namespace s2c2::report {
 struct ReportInputs {
   harness::JobSuiteResult suite;
   harness::MatrixResult predictor_matrix;
+  /// The paper-claims rows (run_claims), filled by generate_report and
+  /// `repro_cli --report`; empty renders as "not measured".
+  std::vector<Claim> claims;
 };
 
 struct ReportConfig {
@@ -44,7 +50,8 @@ struct ReportConfig {
   harness::JobGrid grid;
   /// Rounds per cell of the predictor-sensitivity matrix slice.
   std::size_t predictor_rounds = 6;
-  /// Thread-pool width for both sweeps (0 = hardware, 1 = serial).
+  /// Thread-pool width for the sweeps and the claims (0 = hardware,
+  /// 1 = serial).
   std::size_t jobs = 1;
   /// Output directory for generate_report (created if absent).
   std::string out_dir = "report";
@@ -52,7 +59,8 @@ struct ReportConfig {
   [[nodiscard]] static ReportConfig defaults();
 };
 
-/// Runs both sweeps (sharded over `config.jobs` threads).
+/// Runs both sweeps (sharded over `config.jobs` threads); leaves `claims`
+/// empty.
 [[nodiscard]] ReportInputs run_report_inputs(const ReportConfig& config);
 
 // ---- pure renderers (unit-testable without touching the filesystem) ----
@@ -80,7 +88,8 @@ struct ReportArtifacts {
   std::string matrix_fingerprint;
 };
 
-/// Runs the sweeps and writes all four artifacts under config.out_dir.
+/// Runs the sweeps and the claims and writes all four artifacts under
+/// config.out_dir.
 [[nodiscard]] ReportArtifacts generate_report(const ReportConfig& config);
 
 /// Writes the artifacts for already-computed inputs (lets callers reuse one

@@ -51,20 +51,6 @@ double percentile(std::span<const double> xs, double p) {
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
-double min_of(std::span<const double> xs) {
-  S2C2_REQUIRE(!xs.empty(), "min of empty range");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  S2C2_REQUIRE(!xs.empty(), "max of empty range");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double sum(std::span<const double> xs) {
-  return std::accumulate(xs.begin(), xs.end(), 0.0);
-}
-
 double mape(std::span<const double> predicted, std::span<const double> actual,
             double eps) {
   S2C2_REQUIRE(predicted.size() == actual.size(),
@@ -78,13 +64,6 @@ double mape(std::span<const double> predicted, std::span<const double> actual,
   }
   if (counted == 0) return 0.0;
   return 100.0 * acc / static_cast<double>(counted);
-}
-
-std::vector<double> normalized_by(std::span<const double> xs, double denom) {
-  S2C2_REQUIRE(denom != 0.0, "normalizing by zero");
-  std::vector<double> out(xs.begin(), xs.end());
-  for (double& x : out) x /= denom;
-  return out;
 }
 
 }  // namespace s2c2::util

@@ -1,5 +1,5 @@
 // Small descriptive-statistics helpers used by the accounting, prediction
-// evaluation, and benchmark-reporting layers.
+// evaluation, allocation, and benchmark layers.
 #pragma once
 
 #include <cstddef>
@@ -30,20 +30,11 @@ namespace s2c2::util {
 [[nodiscard]] double median_scratch(std::span<const double> xs,
                                     std::vector<double>& scratch);
 
-[[nodiscard]] double min_of(std::span<const double> xs);
-[[nodiscard]] double max_of(std::span<const double> xs);
-[[nodiscard]] double sum(std::span<const double> xs);
-
 /// Mean Absolute Percentage Error (in percent, e.g. 16.7 for 16.7%).
 /// Entries where |actual| < eps are skipped to avoid division blowup;
 /// if all entries are skipped the result is 0.
 [[nodiscard]] double mape(std::span<const double> predicted,
                           std::span<const double> actual,
                           double eps = 1e-12);
-
-/// Divides every element by `denom` (used for "normalized execution time"
-/// reporting in the figure benches).
-[[nodiscard]] std::vector<double> normalized_by(std::span<const double> xs,
-                                                double denom);
 
 }  // namespace s2c2::util

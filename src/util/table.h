@@ -1,5 +1,5 @@
-// Fixed-width console table printer used by the figure-reproduction benches
-// so their output reads like the paper's tables/figure series.
+// Fixed-width console table printer for the examples' and benches' console
+// output.
 #pragma once
 
 #include <string>
@@ -13,10 +13,6 @@ class Table {
 
   /// Adds a row; cells beyond the header count are a precondition violation.
   void add_row(std::vector<std::string> cells);
-
-  /// Convenience: converts doubles with fixed precision.
-  void add_row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 3);
 
   /// Renders with column auto-sizing, one header rule.
   [[nodiscard]] std::string to_string() const;

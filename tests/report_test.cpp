@@ -1,11 +1,15 @@
 // Report-layer tests: the CSV/markdown renderers must be pure and
 // deterministic (byte-identical regeneration at any thread count — the
 // property the CI report job diffs for), shaped right, and normalized
-// against the correct reference cells.
+// against the correct reference cells. Every paper-claims row must hold or
+// cite a known deviation (ReportClaims measures the rows once for its
+// cases); generate_report's two runs also pin the claims table
+// byte-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -161,13 +165,38 @@ TEST(Report, GenerateReportWritesByteIdenticalFiles) {
   EXPECT_EQ(slurp(a.predictor_sensitivity_path),
             slurp(b.predictor_sensitivity_path));
   EXPECT_EQ(slurp(a.reproduction_path), slurp(b.reproduction_path));
-  EXPECT_FALSE(slurp(a.reproduction_path).empty());
+  EXPECT_NE(slurp(a.reproduction_path).find("| `fig08.mds-10-7` |"),
+            std::string::npos);
   for (const std::string& p :
        {a.job_completion_path, a.utilization_path,
         a.predictor_sensitivity_path, a.reproduction_path,
         b.job_completion_path, b.utilization_path,
         b.predictor_sensitivity_path, b.reproduction_path}) {
     std::remove(p.c_str());
+  }
+}
+
+/// Measures the claims table once per test binary.
+class ReportClaims : public testing::Test {
+ protected:
+  static void SetUpTestSuite() { claims_ = run_claims(2); }
+  static inline std::vector<Claim> claims_;
+};
+
+TEST_F(ReportClaims, EveryRowHoldsOrCitesAKnownDeviation) {
+  for (const std::string& failure :
+       claim_failures(claims_, known_deviations())) {
+    ADD_FAILURE() << failure;
+  }
+  std::set<std::string> ids, anchors;
+  for (const Claim& c : claims_) {
+    EXPECT_TRUE(ids.insert(c.id).second) << c.id;
+    anchors.insert(c.anchor);
+  }
+  for (const char* anchor : {"Fig 1", "Fig 2", "Fig 3", "Fig 6", "Fig 7",
+                             "Fig 8", "Fig 9", "Fig 10", "Fig 11", "Fig 12",
+                             "Fig 13", "§6.1"}) {
+    EXPECT_EQ(anchors.count(anchor), 1u) << anchor;
   }
 }
 

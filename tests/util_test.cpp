@@ -1,8 +1,10 @@
-// Unit tests for src/util: stats, table formatting, seeded RNG.
+// Unit tests for src/util: stats, table formatting, seeded RNG, strict
+// flag parsing.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "src/util/parse.h"
 #include "src/util/require.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -62,21 +64,6 @@ TEST(Stats, MapeSizeMismatchThrows) {
   EXPECT_THROW((void)mape(a, b), std::invalid_argument);
 }
 
-TEST(Stats, NormalizedBy) {
-  const std::vector<double> xs{2.0, 4.0};
-  const auto out = normalized_by(xs, 2.0);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 2.0);
-  EXPECT_THROW((void)normalized_by(xs, 0.0), std::invalid_argument);
-}
-
-TEST(Stats, MinMaxSum) {
-  const std::vector<double> xs{3.0, -1.0, 2.0};
-  EXPECT_DOUBLE_EQ(min_of(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_of(xs), 3.0);
-  EXPECT_DOUBLE_EQ(sum(xs), 4.0);
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {
@@ -125,7 +112,7 @@ TEST(Rng, BernoulliExtremes) {
 TEST(Table, RendersAlignedColumns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
-  t.add_row_numeric("beta", {2.5}, 1);
+  t.add_row({"beta", fmt(2.5, 1)});
   const std::string s = t.to_string();
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("2.5"), std::string::npos);
@@ -147,6 +134,37 @@ TEST(Require, MacrosThrowProperTypes) {
   EXPECT_THROW(S2C2_CHECK(false, "msg"), std::logic_error);
   EXPECT_NO_THROW(S2C2_REQUIRE(true, ""));
   EXPECT_NO_THROW(S2C2_CHECK(true, ""));
+}
+
+TEST(ParseUnsigned, AcceptsOnlyWholeDecimalsUpToTheCap) {
+  EXPECT_EQ(parse_unsigned("0", "--jobs"), 0u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615", "--seed"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_unsigned("1024", "--jobs", kMaxThreadsFlag), 1024u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "2zz", "0x10",
+                          "1.5", "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_unsigned(bad, "--rounds"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW((void)parse_unsigned("1025", "--jobs", kMaxThreadsFlag),
+               std::invalid_argument);
+  // "-1" must not wrap to SIZE_MAX and reach a thread pool; the error
+  // names the flag and the value.
+  try {
+    (void)parse_unsigned("-1", "--inner-jobs", kMaxThreadsFlag);
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--inner-jobs expects an unsigned integer <= 1024, got '-1'");
+  }
+}
+
+TEST(ParseDouble, AcceptsOnlyWholeFiniteNumbers) {
+  EXPECT_DOUBLE_EQ(parse_double("1e-4", "--tolerance"), 1e-4);
+  for (const char* bad : {"", "0.5x", " 1", "1 ", "nan", "inf", "1e999"}) {
+    EXPECT_THROW((void)parse_double(bad, "--scale"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace
