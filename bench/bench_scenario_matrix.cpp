@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
   // The widened grid: 3 cluster scales x 4 predictors x engines x
   // workloads x 4 trace profiles (failure injection included), with the
-  // registry additions lt (threshold collection + peel decode) and agc
+  // later kinds lt (threshold collection + peel decode) and agc
   // (adaptive redundancy) riding beside the four paper families. Workloads
   // are trimmed to the two mat-vec shapes so a laptop run stays minutes.
   harness::MatrixAxes axes = harness::MatrixAxes::full();

@@ -73,7 +73,7 @@ harness::JobApp parse_app(const std::string& s) {
 harness::StrategyKind parse_strategy(const std::string& s) {
   // One parser for every surface (core::parse_strategy); the job driver
   // additionally restricts to the strategies it can run — the four
-  // frozen suite families plus the registry extensions (lt, agc).
+  // frozen suite families plus the later kinds (lt, agc).
   const auto st = core::parse_strategy(s);
   for (const auto allowed : harness::extended_job_strategies()) {
     if (st == allowed) return st;

@@ -134,7 +134,7 @@ void print_usage() {
 harness::StrategyKind parse_engine(const std::string& s) {
   // One parser for every surface (core::parse_strategy); the matrix
   // additionally restricts to the kinds it can run as cells — the four
-  // paper families plus the registry additions (extended_engines()).
+  // paper families plus the later kinds (extended_engines()).
   const auto e = core::parse_strategy(s);
   for (const auto allowed : harness::extended_engines()) {
     if (e == allowed) return e;

@@ -56,10 +56,6 @@ class CodedComputeEngine : public RoundExecutor {
     return decode_ctx_.stats();
   }
 
-  /// Multi-RHS rounds: the block data path (panel dispatch, width-b
-  /// decoder, one cached factorization per responder set) is fully wired.
-  [[nodiscard]] bool supports_block_rounds() const override { return true; }
-
   /// Warmed steady-state rounds are heap-free when the caller recycles
   /// results (see StrategyEngine::recycle): allocation, collection, decode
   /// staging, and the functional decode all run from retained scratch and

@@ -1,8 +1,7 @@
 #include "src/core/engine_factory.h"
 
-#include <map>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace s2c2::core {
@@ -107,83 +106,36 @@ std::unique_ptr<StrategyEngine> make_overdecomp(EngineParams p) {
       std::move(p.predictor), direct_multiply(p));
 }
 
-struct Registry {
-  std::mutex mu;
-  std::map<StrategyKind, EngineFactory> factories;
-};
-
-Registry& registry() {
-  // Seeded on first use instead of static-initializer self-registration:
-  // a static library's linker drops unreferenced registration objects,
-  // and the four built-ins must always be constructible.
-  static Registry* r = [] {
-    auto* reg = new Registry();
-    for (const StrategyKind k :
-         {StrategyKind::kS2C2, StrategyKind::kS2C2Basic, StrategyKind::kMds}) {
-      reg->factories[k] = [k](EngineParams p) {
-        return make_mds_coded(k, std::move(p));
-      };
-    }
-    for (const StrategyKind k :
-         {StrategyKind::kPoly, StrategyKind::kPolyConventional}) {
-      reg->factories[k] = [k](EngineParams p) {
-        return make_poly_coded(k, std::move(p));
-      };
-    }
-    reg->factories[StrategyKind::kReplication] = make_replication;
-    reg->factories[StrategyKind::kOverDecomp] = make_overdecomp;
-    reg->factories[StrategyKind::kLt] = make_lt_coded;
-    reg->factories[StrategyKind::kAgc] = make_agc;
-    return reg;
-  }();
-  return *r;
+std::unique_ptr<StrategyEngine> construct(StrategyKind kind, EngineParams p) {
+  switch (kind) {
+    case StrategyKind::kS2C2:
+    case StrategyKind::kS2C2Basic:
+    case StrategyKind::kMds:
+      return make_mds_coded(kind, std::move(p));
+    case StrategyKind::kPoly:
+    case StrategyKind::kPolyConventional:
+      return make_poly_coded(kind, std::move(p));
+    case StrategyKind::kReplication:
+      return make_replication(std::move(p));
+    case StrategyKind::kOverDecomp:
+      return make_overdecomp(std::move(p));
+    case StrategyKind::kLt:
+      return make_lt_coded(std::move(p));
+    case StrategyKind::kAgc:
+      return make_agc(std::move(p));
+  }
+  throw std::invalid_argument("unknown strategy kind " +
+                              std::to_string(static_cast<int>(kind)));
 }
 
 }  // namespace
 
 std::unique_ptr<StrategyEngine> make_engine(StrategyKind kind,
                                             EngineParams params) {
-  EngineFactory factory;
-  {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    const auto it = reg.factories.find(kind);
-    if (it == reg.factories.end()) {
-      throw std::invalid_argument(
-          std::string("no engine factory registered for strategy: ") +
-          strategy_name(kind));
-    }
-    factory = it->second;
-  }
-  // Applied after construction so every factory — including downstream
-  // registrations that predate the knob — gets the intra-round pool
-  // without each one threading the field through its config.
   const std::size_t inner_jobs = params.inner_jobs;
-  std::unique_ptr<StrategyEngine> engine = factory(std::move(params));
-  if (engine != nullptr && inner_jobs != 1) engine->set_inner_jobs(inner_jobs);
+  std::unique_ptr<StrategyEngine> engine = construct(kind, std::move(params));
+  if (inner_jobs != 1) engine->set_inner_jobs(inner_jobs);
   return engine;
-}
-
-EngineFactory engine_factory(StrategyKind kind) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  const auto it = reg.factories.find(kind);
-  return it != reg.factories.end() ? it->second : EngineFactory{};
-}
-
-void register_engine_factory(StrategyKind kind, EngineFactory factory) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  reg.factories[kind] = std::move(factory);
-}
-
-std::vector<StrategyKind> registered_strategies() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::vector<StrategyKind> out;
-  out.reserve(reg.factories.size());
-  for (const auto& [kind, factory] : reg.factories) out.push_back(kind);
-  return out;
 }
 
 }  // namespace s2c2::core

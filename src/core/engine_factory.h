@@ -1,6 +1,6 @@
-// Registry-driven strategy-engine construction — the one way every
-// consumer (harness cells, job driver, report, examples, benches, CLIs)
-// builds an engine from a StrategyKind.
+// Strategy-engine construction — the one way every consumer (harness
+// cells, job driver, report, examples, benches, CLIs) builds an engine from
+// a StrategyKind.
 //
 //   EngineParams p;
 //   p.cluster = spec; p.k = k; p.dense = &a; ...
@@ -8,19 +8,14 @@
 //                                                   std::move(p));
 //
 // EngineParams is the superset of what the built-in strategies need; each
-// factory reads its slice and ignores the rest (the generated strategy
-// table in docs/REPRODUCTION.md documents capabilities per kind). The
-// registry seeds itself with the built-in families on first use — a
-// function-local registry rather than static-initializer
-// self-registration, which a static library's linker would silently drop
-// — and register_engine_factory lets downstream strategies plug in
-// without touching a single switch ladder. The rateless LT and adaptive
-// gradient coding engines (lt_engine.h, agc_engine.h) entered exactly
-// that way: a class + a registration, proven against the cross-engine
-// invariants in tests/engine_conformance_test.cpp.
+// engine family reads its slice and ignores the rest (the generated
+// strategy table in docs/REPRODUCTION.md documents capabilities per kind).
+// StrategyKind is a closed enum and make_engine switches over it with no
+// default, so -Wswitch (on in every preset, an error under `strict`) flags a
+// new kind until it gets a constructor here. Every kind is proven against
+// the cross-engine invariants in tests/engine_conformance_test.cpp.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "src/core/agc_engine.h"
@@ -91,23 +86,9 @@ struct EngineParams {
   }
 };
 
-using EngineFactory =
-    std::function<std::unique_ptr<StrategyEngine>(EngineParams)>;
-
-/// Builds an engine for `kind`. Throws std::invalid_argument when no
-/// factory is registered for the kind.
+/// Builds an engine for `kind`. Throws std::invalid_argument for a value
+/// outside the StrategyKind enum.
 [[nodiscard]] std::unique_ptr<StrategyEngine> make_engine(StrategyKind kind,
                                                           EngineParams params);
-
-/// Registers (or replaces) the factory for a kind. The built-in kinds are
-/// pre-registered; use this to plug in new strategies.
-void register_engine_factory(StrategyKind kind, EngineFactory factory);
-
-/// The currently registered factory for a kind (empty when none) —
-/// lets callers that temporarily override a binding restore it.
-[[nodiscard]] EngineFactory engine_factory(StrategyKind kind);
-
-/// Kinds currently constructible through make_engine, in enum order.
-[[nodiscard]] std::vector<StrategyKind> registered_strategies();
 
 }  // namespace s2c2::core

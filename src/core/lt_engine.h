@@ -77,10 +77,6 @@ class LtCodedEngine final : public RoundExecutor {
     return decode_ctx_.stats();
   }
 
-  /// Symbols are rows_per_chunk x width blocks; the block data path is
-  /// the same peel replay with wider rows.
-  [[nodiscard]] bool supports_block_rounds() const override { return true; }
-
  protected:
   // RoundExecutor hooks (lifecycle in round_executor.h).
   [[nodiscard]] std::size_t quorum() const override {

@@ -52,15 +52,8 @@ RoundResult OverDecompositionEngine::run_round(std::span<const double> x) {
   return run_round_impl(x, nullptr, 1);
 }
 
-RoundResult OverDecompositionEngine::run_round_block(
+RoundResult OverDecompositionEngine::run_wide_round(
     const linalg::Matrix& x_block, std::size_t width) {
-  S2C2_REQUIRE(width >= 1, "block round width must be >= 1");
-  S2C2_REQUIRE(x_block.empty() || x_block.cols() == width,
-               "x_block must have exactly `width` columns");
-  if (width == 1) {
-    return run_round(x_block.empty() ? std::span<const double>{}
-                                     : x_block.data());
-  }
   return run_round_impl({}, &x_block, width);
 }
 

@@ -48,20 +48,20 @@ class OverDecompositionEngine final : public StrategyEngine {
   /// x the exact product is forwarded in RoundResult::y.
   RoundResult run_round(std::span<const double> x = {}) override;
 
-  /// Block round: task work, input broadcast, and result transfers scale
-  /// by b (partition migrations do not — stored data); functional mode
-  /// forwards the exact block product direct_(X) into RoundResult::y_block
-  /// in one matmat call.
-  RoundResult run_round_block(const linalg::Matrix& x_block,
-                              std::size_t width) override;
-  [[nodiscard]] bool supports_block_rounds() const override { return true; }
-
   /// Bytes of partition data currently stored at `worker` (grows with
   /// migrations — the storage-cost axis of the comparison).
   [[nodiscard]] std::size_t storage_bytes(std::size_t worker) const;
   [[nodiscard]] std::size_t total_migrations() const noexcept {
     return migrations_;
   }
+
+ protected:
+  /// Block round: task work, input broadcast, and result transfers scale
+  /// by b (partition migrations do not — stored data); functional mode
+  /// forwards the exact block product direct_(X) into RoundResult::y_block
+  /// in one matmat call.
+  RoundResult run_wide_round(const linalg::Matrix& x_block,
+                             std::size_t width) override;
 
  private:
   [[nodiscard]] RoundResult run_round_impl(std::span<const double> x,

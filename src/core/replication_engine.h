@@ -59,18 +59,18 @@ class ReplicationEngine final : public StrategyEngine {
   /// forwarded in RoundResult::y (no decode — the result is uncoded).
   RoundResult run_round(std::span<const double> x = {}) override;
 
-  /// Block round: task work, input broadcast, and result transfers scale
-  /// by b; in functional mode the exact block product direct_(X) lands in
-  /// RoundResult::y_block in one matmat — not a column-at-a-time loop.
-  RoundResult run_round_block(const linalg::Matrix& x_block,
-                              std::size_t width) override;
-  [[nodiscard]] bool supports_block_rounds() const override { return true; }
-
   /// Replica holders of each partition (first entry = primary).
   [[nodiscard]] const std::vector<std::vector<std::size_t>>& placement()
       const noexcept {
     return placement_;
   }
+
+ protected:
+  /// Block round: task work, input broadcast, and result transfers scale
+  /// by b; in functional mode the exact block product direct_(X) lands in
+  /// RoundResult::y_block in one matmat — not a column-at-a-time loop.
+  RoundResult run_wide_round(const linalg::Matrix& x_block,
+                             std::size_t width) override;
 
  private:
   [[nodiscard]] RoundResult run_round_impl(std::span<const double> x,

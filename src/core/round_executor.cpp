@@ -181,19 +181,8 @@ RoundResult RoundExecutor::run_round(std::span<const double> x) {
   return run_round_impl(x, nullptr, 1);
 }
 
-RoundResult RoundExecutor::run_round_block(const linalg::Matrix& x_block,
-                                           std::size_t width) {
-  S2C2_REQUIRE(width >= 1, "block round width must be >= 1");
-  S2C2_REQUIRE(x_block.empty() || x_block.cols() == width,
-               "x_block must have exactly `width` columns");
-  if (width == 1) {
-    // cols x 1 row-major is contiguous: reuse the classic entry so b=1
-    // block rounds are bitwise the single-RHS path.
-    return run_round(x_block.empty() ? std::span<const double>{}
-                                     : x_block.data());
-  }
-  S2C2_REQUIRE(supports_block_rounds(),
-               "strategy does not support block rounds (width > 1)");
+RoundResult RoundExecutor::run_wide_round(const linalg::Matrix& x_block,
+                                          std::size_t width) {
   return run_round_impl({}, &x_block, width);
 }
 
@@ -563,6 +552,8 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
 
   // ---- observed speeds -> predictor ----
   result.observed_speeds.assign(n, 0.0);
+  bool sampled = false;
+  bool mispredicted = false;
   for (std::size_t w = 0; w < n; ++w) {
     double obs;
     if (timing[w].assigned_chunks == 0) {
@@ -591,12 +582,14 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
     }
     result.observed_speeds[w] = obs;
     if (obs > 0.0) {
-      const double rel = std::abs(result.predicted_speeds[w] - obs) / obs;
-      if (rel > 0.15) ++mispredictions_;
-      ++prediction_samples_;
+      sampled = true;
+      mispredicted = mispredicted ||
+                     std::abs(result.predicted_speeds[w] - obs) / obs > 0.15;
     }
     if (predictor_) predictor_->observe(w, obs);
   }
+  predicted_rounds_ += sampled ? 1 : 0;
+  mispredicted_rounds_ += mispredicted ? 1 : 0;
 
   // ---- health telemetry ----
   // Liveness pulses for the worker-health monitor. Unlike the predictor

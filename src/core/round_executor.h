@@ -50,14 +50,6 @@ class RoundExecutor : public StrategyEngine {
   /// lifecycle order; the engine's private clock advances to stats.end.
   RoundResult run_round(std::span<const double> x = {}) final;
 
-  /// The same lifecycle over a cols x b RHS panel: dispatch ships b
-  /// columns, every chunk response carries b values per row, compute and
-  /// decode charges scale by b, and one cached decode factorization per
-  /// responder set serves all b columns. width == 1 routes through
-  /// run_round bit-for-bit; width > 1 requires supports_block_rounds().
-  RoundResult run_round_block(const linalg::Matrix& x_block,
-                              std::size_t width) override;
-
   [[nodiscard]] const telemetry::HealthMonitor* health_monitor()
       const override {
     return &health_;
@@ -70,6 +62,13 @@ class RoundExecutor : public StrategyEngine {
                 double straggler_threshold,
                 std::size_t chunks_per_partition,
                 bool health_informed = false);
+
+  /// The same lifecycle over a cols x b RHS panel (b > 1): dispatch ships
+  /// b columns, every chunk response carries b values per row, compute and
+  /// decode charges scale by b, and one cached decode factorization per
+  /// responder set serves all b columns.
+  RoundResult run_wide_round(const linalg::Matrix& x_block,
+                             std::size_t width) final;
 
   struct WorkerTiming {
     std::size_t assigned_chunks = 0;
@@ -158,8 +157,8 @@ class RoundExecutor : public StrategyEngine {
   /// True when this round should run the numeric decode for input x.
   [[nodiscard]] virtual bool functional_round(
       std::span<const double> x) const = 0;
-  /// Block analog for width > 1 rounds. Default false; strategies that
-  /// enable supports_block_rounds() override it.
+  /// Block analog for width > 1 rounds. Default false; strategies whose
+  /// kind supports block rounds override it.
   [[nodiscard]] virtual bool functional_block_round(
       const linalg::Matrix& x_block) const;
   /// Runs the numeric decode and stores the product into `result` (y for

@@ -57,7 +57,7 @@ struct ClusterSpec {
 /// drifted independently and were switch-dispatched at every consumer.
 /// `strategy_name` / `parse_strategy` are the single naming authority;
 /// capability predicates below drive the harness axes and the README
-/// strategy table. Engines are constructed through the registry in
+/// strategy table. Engines are constructed through make_engine in
 /// engine_factory.h.
 enum class StrategyKind {
   kS2C2,              // speed-proportional MDS shares (paper §4.2, Alg. 1)
@@ -82,7 +82,7 @@ enum class StrategyKind {
 /// matrix's four engines) check membership on top.
 [[nodiscard]] StrategyKind parse_strategy(const std::string& name);
 
-/// All kinds, in enum order (the registry's seed list).
+/// All kinds, in enum order.
 [[nodiscard]] std::vector<StrategyKind> all_strategy_kinds();
 
 /// True when the strategy's *allocation* consumes speed predictions.

@@ -40,8 +40,10 @@ RoundResult StrategyEngine::run_round_block(const linalg::Matrix& x_block,
     return run_round(x_block.empty() ? std::span<const double>{}
                                      : x_block.data());
   }
-  throw std::logic_error(std::string(strategy_name(kind())) +
-                         " does not support block rounds (width > 1)");
+  S2C2_REQUIRE(supports_block_rounds(),
+               std::string(strategy_name(kind_)) +
+                   " does not support block rounds (width > 1)");
+  return run_wide_round(x_block, width);
 }
 
 std::vector<RoundResult> StrategyEngine::run_rounds(
@@ -59,9 +61,9 @@ double StrategyEngine::timeout_rate() const {
 }
 
 double StrategyEngine::misprediction_rate() const {
-  return prediction_samples_ > 0
-             ? static_cast<double>(mispredictions_) /
-                   static_cast<double>(prediction_samples_)
+  return predicted_rounds_ > 0
+             ? static_cast<double>(mispredicted_rounds_) /
+                   static_cast<double>(predicted_rounds_)
              : 0.0;
 }
 

@@ -7,7 +7,7 @@
 // `run_round(x)` advances one simulated iteration on the engine's private
 // clock and returns a RoundResult; the harness, job driver, benches, and
 // CLIs drive any strategy through this interface and construct them
-// through the registry in engine_factory.h. Coded strategies additionally
+// through make_engine in engine_factory.h. Coded strategies additionally
 // share the §4.3 round lifecycle in round_executor.h; the uncoded
 // baselines implement run_round with their own dynamics (LATE
 // speculation, partition rebalancing) but still forward the exact product
@@ -76,16 +76,22 @@ class StrategyEngine {
   /// one dispatch, one collection, one cached decode factorization per
   /// responder set — across all b columns. width == 1 forwards to
   /// run_round on X's only column (bit-for-bit the single-RHS path);
-  /// width > 1 requires supports_block_rounds(). An empty X runs a
-  /// latency-only block round at the given width; otherwise the result's
-  /// y_block (y at width 1) carries the product.
-  virtual RoundResult run_round_block(const linalg::Matrix& x_block,
-                                      std::size_t width);
+  /// width > 1 requires supports_block_rounds() and goes to the engine's
+  /// run_wide_round. An empty X runs a latency-only block round at the
+  /// given width; otherwise the result's y_block (y at width 1) carries
+  /// the product. Throws std::invalid_argument on width 0, a panel whose
+  /// column count is not `width`, or width > 1 on a strategy without
+  /// block rounds.
+  RoundResult run_round_block(const linalg::Matrix& x_block,
+                              std::size_t width);
 
-  /// Whether this strategy can run width > 1 block rounds. The bilinear
-  /// polynomial strategies cannot (their round computes Aᵀ·diag(x)·A, not
-  /// a panel product) and keep the default.
-  [[nodiscard]] virtual bool supports_block_rounds() const { return false; }
+  /// Whether this strategy can run width > 1 block rounds:
+  /// strategy_supports_block_rounds(kind()). The bilinear polynomial
+  /// strategies cannot (their round computes Aᵀ·diag(x)·A, not a panel
+  /// product).
+  [[nodiscard]] bool supports_block_rounds() const {
+    return strategy_supports_block_rounds(kind_);
+  }
 
   /// Whether a warmed engine's steady-state run_round / run_round_block
   /// performs zero heap allocations, *provided the caller recycles* each
@@ -127,9 +133,10 @@ class StrategyEngine {
   /// (always 0 for strategies without a timeout window).
   [[nodiscard]] double timeout_rate() const;
 
-  /// Fraction of (worker, round) observations where the prediction missed
-  /// the realized speed by more than 15% (the paper's mis-prediction
-  /// criterion); 0 for strategies that never sample predictions.
+  /// Fraction of rounds in which at least one worker's prediction missed
+  /// its realized speed by more than 15% — the paper's per-iteration
+  /// mis-prediction rate (§6.1, Fig 10). Counted over the rounds that
+  /// sampled predictions; 0 for strategies that never sample them.
   [[nodiscard]] double misprediction_rate() const;
 
   /// Decode-cache telemetry (coding/decode_context.h); the uncoded
@@ -166,6 +173,11 @@ class StrategyEngine {
   StrategyEngine(StrategyKind kind, ClusterSpec spec,
                  std::unique_ptr<predict::SpeedPredictor> predictor);
 
+  /// The width > 1 block round, reached only through run_round_block after
+  /// it validated the panel and the strategy's block-round capability.
+  virtual RoundResult run_wide_round(const linalg::Matrix& x_block,
+                                     std::size_t width) = 0;
+
   /// Installs the last-value default used by every predicting engine when
   /// the caller supplied no predictor and no oracle flag.
   void ensure_predictor(bool oracle_speeds);
@@ -195,8 +207,8 @@ class StrategyEngine {
   sim::Time now_ = 0.0;
   std::size_t rounds_run_ = 0;
   std::size_t timeouts_ = 0;
-  std::size_t mispredictions_ = 0;
-  std::size_t prediction_samples_ = 0;
+  std::size_t mispredicted_rounds_ = 0;
+  std::size_t predicted_rounds_ = 0;  // rounds with >= 1 prediction sample
 
  private:
   StrategyKind kind_;

@@ -34,7 +34,7 @@ using util::mix64;
 /// built from. {s2c2, mds, replication, overdecomp} = 0..3 is the legacy
 /// PR 5 mapping (it predates the unified StrategyKind) and is pinned by
 /// the golden fingerprints in tests/fingerprint_guard_test.cpp; the
-/// registry additions took the next free ids. Never renumber.
+/// later kinds took the next free ids. Never renumber.
 std::uint64_t strategy_axis_id(core::StrategyKind s) {
   switch (s) {
     case core::StrategyKind::kS2C2: return 0;
@@ -109,8 +109,8 @@ class StrategyChannel {
   std::unique_ptr<core::StrategyEngine> engine_;
 };
 
-/// Builds one operator's channel under the job's strategy through the
-/// engine registry. Dense operators pass `dense`; sparse pass `sparse`
+/// Builds one operator's channel under the job's strategy through
+/// core::make_engine. Dense operators pass `dense`; sparse pass `sparse`
 /// (exactly one non-null). The operator must outlive the returned
 /// channel: engines borrow it (the uncoded baselines' direct-multiply
 /// closures hold a pointer into it, not a copy).

@@ -54,7 +54,7 @@ enum class JobApp {
 /// core::strategy_name / core::strategy_uses_predictions; strategies that
 /// ignore predictions record kOracle in the result). The default grid is
 /// pinned by the JobSuite golden fingerprint and must never grow; the
-/// registry additions live in extended_job_strategies().
+/// later kinds live in extended_job_strategies().
 [[nodiscard]] std::vector<StrategyKind> all_job_strategies();
 /// Every kind run_job accepts: the default four plus {kLt, kAgc}.
 [[nodiscard]] std::vector<StrategyKind> extended_job_strategies();
@@ -133,8 +133,9 @@ struct JobResult {
   double mean_wasted_fraction = 0.0;  // mean of per-worker wasted fractions
 
   double timeout_rate = 0.0;          // fraction of rounds with a timeout
-  /// Mean of the coded channels' §6.1 misprediction rates (fraction of
-  /// (worker, round) predictions off by > 15%); 0 for uncoded baselines.
+  /// Mean of the coded channels' §6.1 mis-prediction rates (fraction of
+  /// rounds in which any worker's prediction was off by > 15%); 0 for
+  /// uncoded baselines.
   double misprediction_rate = 0.0;
   std::size_t reassigned_chunks = 0;  // §4.3 recovery volume
   std::size_t data_moves = 0;         // baseline partition migrations

@@ -185,7 +185,7 @@ std::uint64_t engine_axis_id(StrategyKind e) {
   // mapping is append-only. 0..3 are the legacy PR 5 engine axis (it
   // predates the unified StrategyKind, whose enum values must stay free
   // to grow) and are pinned by tests/fingerprint_guard_test.cpp; the
-  // registry additions took the next free ids. Never renumber.
+  // later kinds took the next free ids. Never renumber.
   switch (e) {
     case StrategyKind::kS2C2: return 0;
     case StrategyKind::kReplication: return 1;
@@ -265,7 +265,7 @@ std::vector<StrategyKind> all_engines() {
 }
 
 std::vector<StrategyKind> extended_engines() {
-  // Legacy four in their wire order, then the registry additions in enum
+  // Legacy four in their wire order, then the later kinds in enum
   // order. Every kind here must be runnable through run_cell.
   std::vector<StrategyKind> out = all_engines();
   out.insert(out.end(),

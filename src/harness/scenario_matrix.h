@@ -93,7 +93,7 @@ enum class PredictorKind {
 /// must never grow — new kinds live in extended_engines().
 [[nodiscard]] std::vector<StrategyKind> all_engines();
 /// Every kind the matrix can run as a cell: the four paper families plus
-/// the registry additions (s2c2-basic, mds, poly-conventional, lt, agc).
+/// the later kinds (s2c2-basic, mds, poly-conventional, lt, agc).
 /// CLI parsing and the conformance suite iterate this list.
 [[nodiscard]] std::vector<StrategyKind> extended_engines();
 /// Wire-format axis id of a matrix engine — feeds cell seeds and cell

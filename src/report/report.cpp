@@ -245,7 +245,7 @@ std::string strategy_table_markdown() {
       "| strategy | coded | predictions | §4.3 recovery | block rounds | "
       "byzantine-tolerant | matrix axis | job axis |\n"
       "|---|---|---|---|---|---|---|---|\n";
-  for (const StrategyKind s : core::registered_strategies()) {
+  for (const StrategyKind s : core::all_strategy_kinds()) {
     append(md, {"| `", core::strategy_name(s), "` | ",
                 mark(core::strategy_is_coded(s)), " | ",
                 mark(core::strategy_uses_predictions(s)), " | ",
@@ -288,9 +288,9 @@ std::string reproduction_markdown(const ReportInputs& inputs) {
         " cells, fingerprint `" + inputs.predictor_matrix.fingerprint() +
         "`\n\n";
 
-  md += "## Strategy registry\n\n";
+  md += "## Strategy table\n\n";
   md +=
-      "Generated from `core::registered_strategies()` and the capability "
+      "Generated from `core::all_strategy_kinds()` and the capability "
       "predicates in `src/core/strategy_config.h` — one row per strategy "
       "constructible through `core::make_engine`. \"default\" axes are "
       "golden-pinned sweeps; \"extended\" kinds run via `--axis engines=`/"

@@ -71,10 +71,10 @@ struct ReportConfig {
     const harness::JobSuiteResult& suite);
 [[nodiscard]] std::string predictor_sensitivity_csv(
     const harness::MatrixResult& matrix);
-/// Markdown table of every strategy currently constructible through
-/// core::make_engine, one row per core::registered_strategies() entry with
+/// Markdown table of every strategy constructible through
+/// core::make_engine, one row per core::all_strategy_kinds() entry with
 /// its capability predicates and harness-axis membership — generated, so
-/// the docs can never drift from the registry. Embedded in
+/// the docs can never drift from the enum. Embedded in
 /// reproduction_markdown and published in docs/REPRODUCTION.md.
 [[nodiscard]] std::string strategy_table_markdown();
 [[nodiscard]] std::string reproduction_markdown(const ReportInputs& inputs);

@@ -1,234 +1,121 @@
 #include "src/util/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 namespace s2c2::util {
 
 namespace {
-// Set for the lifetime of every worker_loop; the free parallel_for's
+// Set while this thread runs drain(); the free parallel_for's
 // serial-fallback predicate (nesting contract in the header). A plain
-// bool, not a pool pointer: the fallback must trigger for ANY enclosing
-// pool, including a different pool's worker.
-thread_local bool t_in_pool_worker = false;
+// bool, not a pool pointer: the fallback must trigger inside ANY pool's
+// fan-out, including a different pool's.
+thread_local bool t_in_fanout = false;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = std::max<std::size_t>(1, threads);
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true);
+    shutdown_ = true;
   }
-  work_cv_.notify_all();
-  for (auto& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  wake_cv_.notify_all();
+  for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t q = next_queue_.fetch_add(1) % queues_.size();
-  // pending_ goes up before the push: a worker that wakes on the count but
-  // races ahead of the push finds nothing and retries, which is benign;
-  // the reverse order could drive the count transiently negative.
-  pending_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  {
-    // Empty critical section: serializes with a worker between its
-    // predicate check and its wait, so the notify below cannot be lost.
-    std::lock_guard<std::mutex> lock(mu_);
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return pending_.load() == 0 && in_flight_.load() == 0;
-  });
-}
-
-bool ThreadPool::in_worker() noexcept { return t_in_pool_worker; }
+bool ThreadPool::in_worker() noexcept { return t_in_fanout; }
 
 std::size_t ThreadPool::hardware_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& task) {
-  // Own deque first (front = most recently queued locality), then cycle
-  // the siblings stealing from the back.
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
+void ThreadPool::drain() {
+  const bool outer = t_in_fanout;
+  t_in_fanout = true;
+  for (std::size_t i = next_.fetch_add(1); i < count_ && !stop_.load();
+       i = next_.fetch_add(1)) {
+    try {
+      (*fn_)(i);
+    } catch (...) {
+      stop_.store(true);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
     }
   }
-  for (std::size_t d = 1; d < queues_.size(); ++d) {
-    WorkerQueue& q = *queues_[(self + d) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
+  t_in_fanout = outer;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  t_in_pool_worker = true;
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::function<void()> task;
-    if (try_pop(self, task)) {
-      in_flight_.fetch_add(1);
-      pending_.fetch_sub(1);
-      task();
-      const std::size_t running = in_flight_.fetch_sub(1) - 1;
-      if (running == 0 && pending_.load() == 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    work_cv_.wait(lock, [this] {
-      return shutdown_.load() || pending_.load() > 0;
-    });
-    if (shutdown_.load() && pending_.load() == 0) return;
-    // pending_ > 0: drop the lock and go find the task (it may land in
-    // any deque an instant after the count went up).
+    wake_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
+    if (shutdown_) return;
+    seen = generation_;
+    // A worker that wakes after the caller closed the fan-out has nothing
+    // left to claim and goes back to sleep.
+    if (!open_) continue;
+    ++running_;
+    lock.unlock();
+    drain();
+    lock.lock();
+    if (--running_ == 0 && !open_) done_cv_.notify_one();
   }
 }
-
-namespace {
-
-/// Shared fan-out state for the help-first member parallel_for. Owned by
-/// shared_ptr: a late helper task that loses the race for the last index
-/// still touches `next` after the caller has returned, so the state must
-/// outlive the caller's frame.
-struct FanOutState {
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<bool> stop{false};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::exception_ptr first_error;
-  std::size_t count = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-};
-
-/// Claims indices from the shared counter until none remain. Every claimed
-/// index is counted into `done` exactly once (even after a failure — the
-/// stop flag skips the work, not the count), so the caller's wait for
-/// done == count always opens.
-void drain(FanOutState& s) {
-  for (std::size_t i = s.next.fetch_add(1); i < s.count;
-       i = s.next.fetch_add(1)) {
-    if (!s.stop.load(std::memory_order_relaxed)) {
-      try {
-        (*s.fn)(i);
-      } catch (...) {
-        s.stop.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(s.mu);
-        if (!s.first_error) s.first_error = std::current_exception();
-      }
-    }
-    if (s.done.fetch_add(1) + 1 == s.count) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.done_cv.notify_all();
-    }
-  }
-}
-
-}  // namespace
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (count == 1) {
-    fn(0);
+  bool serial = count <= 1 || workers_.empty();
+  if (!serial) {
+    std::lock_guard<std::mutex> lock(mu_);
+    serial = active_;
+    if (!serial) {
+      active_ = open_ = true;
+      fn_ = &fn;
+      count_ = count;
+      next_.store(0);
+      stop_.store(false);
+      ++generation_;
+    }
+  }
+  if (serial) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  auto state = std::make_shared<FanOutState>();
-  state->count = count;
-  state->fn = &fn;
-  // The caller claims indices too, so at most count - 1 helpers are ever
-  // useful; superfluous helpers would only churn the queues.
-  const std::size_t helpers = std::min(size(), count - 1);
-  for (std::size_t t = 0; t < helpers; ++t) {
-    submit([state] { drain(*state); });
-  }
-  // Help-first: drain inline. By the time this returns, every index has
-  // been CLAIMED (the shared counter is exhausted); the wait below is only
-  // for indices claimed by helpers that are still executing them — never
-  // for a task sitting unclaimed in a queue, which is why a nested call
-  // from one of this pool's own tasks cannot deadlock.
-  drain(*state);
+  wake_cv_.notify_all();
+  // Help-first: drain inline. When this returns every index has been
+  // claimed (or the fan-out stopped), so the wait below is only for
+  // helpers still running an index they claimed.
+  drain();
+  std::exception_ptr error;
   {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->done_cv.wait(lock, [&] { return state->done.load() == count; });
+    std::unique_lock<std::mutex> lock(mu_);
+    open_ = false;
+    done_cv_.wait(lock, [this] { return running_ == 0; });
+    active_ = false;
+    error = std::exchange(error_, nullptr);
   }
-  if (state->first_error) std::rethrow_exception(state->first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn) {
   if (jobs == 0) jobs = ThreadPool::hardware_threads();
-  // Serial fallback when nested inside any pool worker (contract in the
-  // header): the enclosing sharding already owns the hardware, and a
-  // private pool per nested call would multiply threads combinatorially
-  // at (outer jobs x inner jobs).
+  // Serial fallback inside a fan-out body (contract in the header): the
+  // enclosing sharding already owns the hardware, and a private pool per
+  // nested call would multiply threads at (outer jobs x inner jobs).
   if (jobs <= 1 || count <= 1 || ThreadPool::in_worker()) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
-  {
-    ThreadPool pool(std::min(jobs, count));
-    // One pull-loop per worker: indices are claimed from a shared counter,
-    // so finished workers keep pulling instead of idling behind a static
-    // partition (matrix cells vary widely in cost), and fetch_add hands
-    // each index to exactly one claimant. The first exception stops
-    // further claims — the partial results are discarded on rethrow, so
-    // finishing the sweep would only waste work.
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      pool.submit([&] {
-        for (std::size_t i = next.fetch_add(1); i < count && !stop.load();
-             i = next.fetch_add(1)) {
-          try {
-            fn(i);
-          } catch (...) {
-            stop.store(true);
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  ThreadPool pool(std::min(jobs, count) - 1);
+  pool.parallel_for(count, fn);
 }
 
 }  // namespace s2c2::util

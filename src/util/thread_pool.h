@@ -1,36 +1,32 @@
-// Fixed-size work-stealing thread pool + a deterministic parallel_for.
+// A fixed team of worker threads with one operation, a help-first
+// parallel_for, plus the free parallel_for(count, jobs, fn) built on it.
 //
-// Built for the scenario-matrix executor (src/harness/matrix_runner.h):
-// matrix cells are independent, seeded computations, so the pool only needs
-// task submission and an idle barrier — no futures, no task graphs.
+// Both run fn(i) for every i in [0, count) with each index executed exactly
+// once, claimed from a shared counter: finished threads keep pulling
+// instead of idling behind a static partition (matrix cells and chunk
+// products vary widely in cost). Callers that write results into a
+// preallocated slot per index get bit-identical output regardless of
+// thread count, which is the harness's determinism contract (pinned by
+// tests/thread_pool_test.cpp at several --jobs values).
 //
-// Queueing is work-stealing: each worker owns a deque (submission
-// round-robins across them), pops its own front, and steals from the back
-// of a sibling's deque when its own runs dry. A worker therefore only
-// contends on a per-deque mutex, not one global queue lock, and a long
-// task parked on one worker cannot strand the tasks queued behind it —
-// siblings steal them. The one global mutex is reserved for sleep/wake
-// coordination (empty pool parking, wait_idle, shutdown), which is off the
-// task fast path.
+// The system has two users: sharding independent sweep cells (matrix
+// runner, job suite, serve sweeps, claims table) through the free
+// parallel_for, and the chunk fan-out inside one round
+// (CodedComputeEngine's inner pool) through the member call.
 //
-// The companion parallel_for(count, jobs, fn) runs fn(0..count) across
-// jobs threads with each index executed exactly once; callers that write
-// results into a preallocated slot per index get bit-identical output
-// regardless of thread count, which is the harness's determinism contract
-// (pinned by tests/thread_pool_test.cpp at several --jobs values).
-//
-// Nesting contract (the intra-round parallelism PR; see
-// docs/ARCHITECTURE.md "Threading ownership"):
-//   * The free parallel_for falls back to SERIAL when called from inside
-//     any pool worker — outer sharding (matrix cells, serve sweeps, job
-//     suites) composes with inner parallelism without thread explosion,
-//     and results are bit-identical either way because each index's work
-//     is already order-independent.
-//   * The member ThreadPool::parallel_for is HELP-FIRST: the calling
-//     thread claims indices from the shared counter alongside the pool's
-//     workers, so a call issued from one of the pool's own tasks can never
-//     deadlock — every claimed index is executed by an actively draining
-//     thread, and the caller's wait is only for claimed indices.
+// Nesting contract (see docs/ARCHITECTURE.md "Threading ownership"):
+//   * The member call is HELP-FIRST: the calling thread drains indices
+//     alongside the workers, then waits only for workers still running an
+//     index they already claimed. No index ever waits in a queue for a
+//     busy thread, so a fan-out cannot deadlock on its own team.
+//   * in_worker() is true while the calling thread runs a fan-out body,
+//     on a worker or on a caller that is draining. The free parallel_for
+//     falls back to SERIAL there: outer sharding composes with inner
+//     parallelism without thread explosion, and results are bit-identical
+//     either way because each index's work is order-independent.
+//   * A member call issued while the same pool is already fanning out
+//     (from inside one of its bodies, or from another thread) runs serial
+//     on the calling thread.
 //
 // Concurrency-sensitive paths here are covered by the `tsan` CMake preset
 // (cmake --preset tsan && cmake --build --preset tsan -j &&
@@ -41,9 +37,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,40 +48,28 @@ namespace s2c2::util {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (clamped to >= 1).
+  /// Spawns `threads` workers. With 0 workers every call runs on the
+  /// caller alone.
   explicit ThreadPool(std::size_t threads);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains the queues (pending tasks still run), then joins all workers.
+  /// Wakes and joins every worker. Must not run while a parallel_for on
+  /// this pool is in progress.
   ~ThreadPool();
 
-  /// Enqueues a task. Tasks must not throw — wrap and capture exceptions
-  /// at the call site (parallel_for does this for its callers).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every queue is empty and no worker is running a task.
-  /// Must NOT be called from inside a pool task (the caller's own task is
-  /// in flight, so the barrier would never open) — nested fan-out goes
-  /// through the member parallel_for instead.
-  void wait_idle();
-
-  /// Help-first blocked fan-out: runs fn(i) for every i in [0, count),
-  /// spread over this pool's workers PLUS the calling thread. Each index
-  /// runs exactly once (shared-counter claim); fn must only touch
-  /// per-index state. Safe to call from inside one of this pool's own
-  /// tasks: the caller drains indices inline and waits only for indices
-  /// already claimed by actively executing threads, so there is no
-  /// circular wait through the queues. The first exception thrown by any
-  /// fn(i) is rethrown on the calling thread after every claimed index
-  /// has finished.
+  /// Help-first fan-out: runs fn(i) for every i in [0, count), spread over
+  /// this pool's workers PLUS the calling thread. Each index runs exactly
+  /// once; fn must only touch per-index state. After the first exception
+  /// no further index starts, and that exception is rethrown on the
+  /// calling thread once every running index has finished.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// True when the calling thread is a worker of ANY ThreadPool — the
+  /// True while the calling thread runs a fan-out body of ANY pool — the
   /// free parallel_for's serial-fallback predicate.
   [[nodiscard]] static bool in_worker() noexcept;
 
@@ -93,42 +77,38 @@ class ThreadPool {
   [[nodiscard]] static std::size_t hardware_threads();
 
  private:
-  /// One worker's deque. Owner pops the front; thieves pop the back, so a
-  /// steal takes the oldest task — the one most likely to head a large
-  /// untouched run of work.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  /// Claims indices of the open fan-out until none remain or one failed.
+  void drain();
+  void worker_loop();
 
-  bool try_pop(std::size_t self, std::function<void()>& task);
-  void worker_loop(std::size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::atomic<std::size_t> next_queue_{0};  // round-robin submission target
-
-  // Sleep/wake coordination only; never held while running a task.
-  // pending_ counts tasks sitting in deques (incremented before the push,
-  // so a worker that observes pending_ > 0 and fails to find the task
-  // simply retries); in_flight_ counts tasks currently executing.
   std::mutex mu_;
-  std::condition_variable work_cv_;  // pending work or shutting down
-  std::condition_variable idle_cv_;  // all queues empty, nothing in flight
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> in_flight_{0};
-  std::atomic<bool> shutdown_{false};
+  std::condition_variable wake_cv_;  // workers: new generation or shutdown
+  std::condition_variable done_cv_;  // caller: the last helper has left
+  // Guarded by mu_. A call bumps generation_ and opens the fan-out; a
+  // worker joins (running_ + 1) only while it is open, and the caller
+  // closes it before waiting for running_ to reach 0, so a worker that
+  // wakes late can never touch a finished call's state.
+  std::uint64_t generation_ = 0;
+  bool active_ = false;  // a call is in progress (re-entrant calls go serial)
+  bool open_ = false;    // helpers may still join
+  bool shutdown_ = false;
+  std::size_t running_ = 0;
+  std::exception_ptr error_;
+  // The current call's work. Written under mu_ before the fan-out opens,
+  // read by helpers after they join under mu_.
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t count_ = 0;
+  std::atomic<std::size_t> next_{0};
+  std::atomic<bool> stop_{false};
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(i) for every i in [0, count), spread over `jobs` threads
-/// (jobs == 0 means hardware_threads(); jobs <= 1 runs inline on the
-/// caller's thread). Each index runs exactly once; completion order is
-/// unspecified, so fn must only touch per-index state. The first exception
-/// thrown by any fn(i) is rethrown on the caller's thread after all
-/// submitted work has drained. Safe to nest: a call issued from inside any
-/// pool worker runs SERIAL on the calling thread (documented fallback —
-/// outer sharding already owns the hardware, and per-index work is
-/// order-independent, so the results are bit-identical either way).
+/// Runs fn(i) for every i in [0, count) over `jobs` threads, the caller
+/// included (jobs == 0 means hardware_threads()). Serial on the calling
+/// thread when jobs <= 1, count <= 1, or inside a fan-out body (nesting
+/// contract above); otherwise a temporary ThreadPool of
+/// min(jobs, count) - 1 workers plus its member parallel_for, with the
+/// same exactly-once and exception semantics.
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn);
 

@@ -19,9 +19,11 @@ CloudTraceConfig stable_cloud_config() {
 
 CloudTraceConfig volatile_cloud_config() {
   CloudTraceConfig c;
-  // Per-node, per-iteration regime-switch probability of 2%: across a
-  // 10-node fleet that is 1 - 0.98^10 ~ 18% of iterations with a sudden
-  // change — the paper's worst-case 18% mis-prediction environment.
+  // Per-node, per-iteration regime-switch probability of 6%: across a
+  // 10-node fleet, 1 - 0.94^10 ~ 46% of iterations see a switch somewhere.
+  // Not every switch is a > 15% miss: the measured per-round mis-prediction
+  // rate on the Fig 10 set-up is 20% (claim fig10.mispredicted-rounds),
+  // against the paper's worst-case "up to 18%".
   c.switch_prob = 0.06;
   c.ar_sigma = 0.02;
   c.recovery_ramp = 3;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "src/sched/allocation.h"
 #include "src/sched/coverage.h"
@@ -140,6 +141,11 @@ struct CoverageParam {
   std::size_t n, k, c;
   std::uint64_t seed;
 };
+
+// Names each case from its fields (the default is a byte dump).
+void PrintTo(const CoverageParam& p, std::ostream* os) {
+  *os << "n" << p.n << " k" << p.k << " c" << p.c << " seed " << p.seed;
+}
 
 class ProportionalCoverage : public ::testing::TestWithParam<CoverageParam> {};
 

@@ -1,7 +1,7 @@
 // util::Arena unit tests + the allocation-count regression suite that
 // locks down the PR's headline property: a warmed engine's steady-state
 // run_round / run_round_block touches the heap ZERO times when the caller
-// recycles results (StrategyEngine::recycle), for every registered
+// recycles results (StrategyEngine::recycle), for every
 // strategy that reports supports_allocation_free_rounds().
 //
 // The regression works by replacing the global throwing operator new with
@@ -20,6 +20,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <utility>
@@ -59,6 +60,15 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace s2c2::core {
+// Prints a parameter as its strategy name, so the ctest names of the
+// StrategyKind-parameterized suite below carry no byte dump. Declared in
+// StrategyKind's namespace for argument-dependent lookup.
+void PrintTo(StrategyKind kind, std::ostream* os) {
+  *os << strategy_name(kind);
+}
+}  // namespace s2c2::core
 
 namespace s2c2 {
 namespace {
@@ -246,7 +256,7 @@ TEST(AllocationFreeRounds, ClaimMatchesTheMdsFamily) {
   // baselines' closures).
   util::Rng rng(29);
   const linalg::Matrix a = linalg::Matrix::random_uniform(240, 30, rng);
-  for (const StrategyKind kind : core::registered_strategies()) {
+  for (const StrategyKind kind : core::all_strategy_kinds()) {
     core::EngineParams p;
     p.cluster = test::make_spec(test::uniform_traces(12));
     p.dense = &a;
@@ -384,7 +394,7 @@ TEST(RecoveryRounds, VolatileRecoveryRoundsAllocateOnlyOnDecodeMisses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, AllocationFreeRoundsTest,
-    ::testing::ValuesIn(core::registered_strategies()),
+    ::testing::ValuesIn(core::all_strategy_kinds()),
     [](const ::testing::TestParamInfo<StrategyKind>& info) {
       std::string name = strategy_name(info.param);
       for (char& c : name) {

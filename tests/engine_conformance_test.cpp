@@ -1,6 +1,6 @@
 // Cross-engine conformance suite: the contracts EVERY strategy behind
-// core::make_engine must satisfy, parameterized over registered_strategies()
-// / harness::extended_engines() so a newly registered kind is under
+// core::make_engine must satisfy, parameterized over all_strategy_kinds()
+// / harness::extended_engines() so a newly added kind is under
 // contract the day it lands — no hand-enumerated kind lists to forget to
 // extend. Covers (per ISSUE/ROADMAP):
 //   * seeded byte-identical determinism across repeat runs and --jobs
@@ -45,7 +45,7 @@ using core::strategy_name;
 /// Functional engine inputs shared by the engine-level contracts: a seeded
 /// dense 240 x `cols` operator (30 by default) on a 12-worker cluster,
 /// k = 10, 12 chunks per partition — small enough that the whole
-/// registered lineup runs in milliseconds, large enough that every coded
+/// lineup runs in milliseconds, large enough that every coded
 /// geometry is non-trivial.
 struct FunctionalRig {
   explicit FunctionalRig(std::size_t cols = 30)
@@ -181,7 +181,7 @@ TEST(EngineConformance, AccountingConservationPerWorker) {
   // as an over-booked window.
   // Cost-only at paper-ish scale so the uncoded baselines' speculative /
   // rebalancing dynamics are exercised too.
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     EngineParams p;
     p.cluster = core::ClusterSpec::uniform(12);
     p.rows = 1200;
@@ -239,7 +239,7 @@ TEST(EngineConformance, OneAccountingPathForEveryCodedKind) {
   for (std::size_t w = 9; w < 12; ++w) {
     traces[w] = sim::SpeedTrace::constant(0.3);
   }
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     if (!core::strategy_is_coded(k)) continue;
     EngineParams p;
     p.cluster = test::make_spec(traces);
@@ -308,7 +308,7 @@ TEST(EngineConformance, RunRoundsForwardsTheDirectProduct) {
   // the shared relative tolerance of expect_matrix_close applies).
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     if (is_poly(k)) {
       const auto engine =
           core::make_engine(k, functional_params(k, rig, hess));
@@ -332,19 +332,19 @@ TEST(EngineConformance, BlockRoundWidthOneIdentityOrCleanRejection) {
   // The serving layer's gate: a kind either implements the width-generic
   // block data path — and then a width-1 block round is bitwise the
   // single-RHS round — or it reports supports_block_rounds() == false and
-  // rejects width > 1 with the registry's capability predicate agreeing.
+  // rejects width > 1 with the capability predicate agreeing.
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
   linalg::Matrix x_panel(rig.a.cols(), 1);
   for (std::size_t i = 0; i < rig.x.size(); ++i) x_panel(i, 0) = rig.x[i];
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     const auto engine = core::make_engine(k, functional_params(k, rig, hess));
     EXPECT_EQ(engine->supports_block_rounds(),
               core::strategy_supports_block_rounds(k))
         << strategy_name(k);
     if (!engine->supports_block_rounds()) {
-      // Both rejection sites in the taxonomy throw a std::logic_error
-      // (S2C2_REQUIRE's std::invalid_argument derives from it).
+      // run_round_block's capability check throws S2C2_REQUIRE's
+      // std::invalid_argument, a std::logic_error.
       EXPECT_THROW((void)engine->run_round_block(linalg::Matrix(), 2),
                    std::logic_error)
           << strategy_name(k);
@@ -431,7 +431,7 @@ TEST(EngineConformance, WarmRoundsMatchColdRoundsBitForBit) {
   // reuse changed WHERE results are built, never WHAT they contain.
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     if (is_poly(k)) continue;  // Hessian payload covered by its own suite
     const auto recycling = core::make_engine(k, rig.params());
     const auto fresh = core::make_engine(k, rig.params());
@@ -459,7 +459,7 @@ TEST(EngineConformance, WarmRoundsMatchColdRoundsBitForBit) {
 }
 
 TEST(EngineConformance, InnerParallelRoundsMatchSerialBitForBit) {
-  // The inner_jobs knob, per registered kind: an engine with
+  // The inner_jobs knob, per kind: an engine with
   // inner_jobs = 4 must produce byte-identical rounds to the serial twin —
   // latency bits, product bits, prediction vectors, accounting totals,
   // decode telemetry. This rig's chunk products sit below
@@ -468,7 +468,7 @@ TEST(EngineConformance, InnerParallelRoundsMatchSerialBitForBit) {
   // InnerParallelBlockRoundsMatchSerialBitForBit.
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     EngineParams serial_params = functional_params(k, rig, hess);
     EngineParams parallel_params = functional_params(k, rig, hess);
     parallel_params.inner_jobs = 4;
@@ -538,7 +538,7 @@ TEST(EngineConformance, InnerParallelBlockRoundsMatchSerialBitForBit) {
     linalg::Matrix x_panel(rig.a.cols(), width);
     util::Rng panel_rng(29);
     for (double& v : x_panel.mutable_data()) v = panel_rng.normal();
-    for (const StrategyKind k : core::registered_strategies()) {
+    for (const StrategyKind k : core::all_strategy_kinds()) {
       if (!core::strategy_supports_block_rounds(k) || is_poly(k)) continue;
       EngineParams parallel_params = functional_params(k, rig, hess);
       parallel_params.inner_jobs = 4;
@@ -592,7 +592,7 @@ TEST(EngineConformance, DecodeCacheWarmsAcrossRepeatedRounds) {
   // and report empty stats — the predicate and the telemetry must agree.
   const FunctionalRig rig;
   const test::FunctionalHessian hess;
-  for (const StrategyKind k : core::registered_strategies()) {
+  for (const StrategyKind k : core::all_strategy_kinds()) {
     const auto engine = core::make_engine(k, functional_params(k, rig, hess));
     (void)engine->run_rounds(3, is_poly(k) ? std::span<const double>(hess.x)
                                            : std::span<const double>(rig.x));

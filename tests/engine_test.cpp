@@ -350,6 +350,22 @@ TEST(Engine, MispredictionRateTracked) {
   EXPECT_GE(engine.timeout_rate(), 0.0);
 }
 
+TEST(Engine, MispredictionRateCountsRounds) {
+  // One worker of twelve runs at half the speed an equal-speed predictor
+  // assumes, every round. Every round therefore has a > 15% miss, so the
+  // paper's per-round rate is 1 (a per-worker-round count would give 1/12).
+  auto traces = test::uniform_traces(12);
+  traces[0] = sim::SpeedTrace::constant(0.5);
+  EngineConfig cfg;
+  cfg.strategy = StrategyKind::kS2C2;
+  cfg.chunks_per_partition = kChunks;
+  CodedMatVecJob job = CodedMatVecJob::cost_only(2400, 500, 12, 10, kChunks);
+  CodedComputeEngine engine(job, make_spec(traces), cfg,
+                            std::make_unique<predict::EqualSpeedPredictor>());
+  (void)engine.run_rounds(4);
+  EXPECT_EQ(engine.misprediction_rate(), 1.0);
+}
+
 TEST(Engine, SparseOperatorFunctionalDecode) {
   util::Rng rng(11);
   std::vector<linalg::Triplet> trips;

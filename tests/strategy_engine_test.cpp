@@ -1,7 +1,6 @@
 // Tests for the unified strategy layer: the StrategyKind taxonomy and its
-// naming/parsing/capability helpers, the engine registry (make_engine /
-// register_engine_factory), and the polymorphic StrategyEngine contract
-// every strategy satisfies.
+// naming/parsing/capability helpers, the engine constructor (make_engine),
+// and the polymorphic StrategyEngine contract every strategy satisfies.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,13 +8,9 @@
 
 #include "src/core/engine_factory.h"
 #include "src/util/rng.h"
-#include "src/workload/trace_gen.h"
-#include "tests/test_util.h"
 
 namespace s2c2::core {
 namespace {
-
-using test::make_spec;
 
 TEST(StrategyKind, NameParseRoundTrip) {
   for (const StrategyKind k : all_strategy_kinds()) {
@@ -52,7 +47,7 @@ TEST(StrategyKind, CapabilityPredicates) {
   EXPECT_TRUE(strategy_uses_recovery(StrategyKind::kPoly));
   EXPECT_FALSE(strategy_uses_recovery(StrategyKind::kMds));
   EXPECT_FALSE(strategy_uses_recovery(StrategyKind::kReplication));
-  // The registry additions: lt is coded but prediction-blind (the code's
+  // The later additions: lt is coded but prediction-blind (the code's
   // redundancy absorbs stragglers) and opts out of both §4.3 recovery and
   // byzantine verification; agc is a prediction-driven MDS variant.
   EXPECT_TRUE(strategy_is_coded(StrategyKind::kLt));
@@ -89,20 +84,12 @@ TEST(EngineFactory, BuildsEveryRegisteredStrategy) {
   }
 }
 
-TEST(EngineFactory, RegisteredStrategiesCoverAllBuiltins) {
-  const auto regs = registered_strategies();
-  const std::set<StrategyKind> have(regs.begin(), regs.end());
-  for (const StrategyKind k : all_strategy_kinds()) {
-    EXPECT_TRUE(have.count(k)) << strategy_name(k);
-  }
-}
-
 TEST(EngineFactory, PolymorphicRoundsAdvanceEveryEngineClock) {
-  // Every registered strategy driven through the base interface only —
-  // the contract the harness, job driver, and CLIs rely on. Iterating
-  // registered_strategies() (not a hand list) means a newly registered
-  // kind is under contract the day it lands.
-  for (const StrategyKind k : registered_strategies()) {
+  // Every strategy driven through the base interface only — the contract
+  // the harness, job driver, and CLIs rely on. Iterating
+  // all_strategy_kinds() (not a hand list) means a new kind is under
+  // contract the day it lands.
+  for (const StrategyKind k : all_strategy_kinds()) {
     const std::unique_ptr<StrategyEngine> engine =
         make_engine(k, cost_only_params(12, 1200, 120));
     const auto rounds = engine->run_rounds(3);
@@ -127,7 +114,7 @@ TEST(EngineFactory, FunctionalDecodeThroughTheBaseInterface) {
   linalg::Vector x(24);
   for (auto& v : x) v = rng.normal();
   const linalg::Vector truth = a.matvec(x);
-  for (const StrategyKind k : registered_strategies()) {
+  for (const StrategyKind k : all_strategy_kinds()) {
     if (k == StrategyKind::kPoly || k == StrategyKind::kPolyConventional) {
       continue;
     }
@@ -138,45 +125,6 @@ TEST(EngineFactory, FunctionalDecodeThroughTheBaseInterface) {
     ASSERT_TRUE(r.y.has_value()) << strategy_name(k);
     EXPECT_LT(linalg::max_abs_diff(*r.y, truth), 1e-9) << strategy_name(k);
   }
-}
-
-/// A minimal custom strategy: fixed-latency rounds, no coding — the
-/// "fifth engine" the registry exists for (rateless/LT, gradient coding;
-/// see ROADMAP.md).
-class FixedLatencyEngine final : public StrategyEngine {
- public:
-  explicit FixedLatencyEngine(ClusterSpec spec)
-      : StrategyEngine(StrategyKind::kReplication, std::move(spec), nullptr) {}
-  RoundResult run_round(std::span<const double>) override {
-    RoundResult r;
-    r.stats.start = now_;
-    r.stats.coverage = now_ + 1.0;
-    r.stats.end = now_ + 1.0;
-    now_ = r.stats.end;
-    ++rounds_run_;
-    return r;
-  }
-};
-
-TEST(EngineFactory, CustomFactoryPlugsInWithoutSwitchLadders) {
-  // Downstream strategies register factories instead of editing switch
-  // ladders. Overriding a built-in binding is process-global state, so
-  // save and restore it around the override.
-  EngineFactory builtin = engine_factory(StrategyKind::kReplication);
-  ASSERT_TRUE(static_cast<bool>(builtin));
-
-  register_engine_factory(StrategyKind::kReplication, [](EngineParams p) {
-    return std::make_unique<FixedLatencyEngine>(std::move(p.cluster));
-  });
-  const auto engine = make_engine(StrategyKind::kReplication,
-                                  cost_only_params(4, 100, 10));
-  EXPECT_EQ(engine->run_round().stats.latency(), 1.0);
-
-  register_engine_factory(StrategyKind::kReplication, std::move(builtin));
-  const auto rebuilt = make_engine(StrategyKind::kReplication,
-                                   cost_only_params(12, 1200, 120));
-  EXPECT_EQ(rebuilt->kind(), StrategyKind::kReplication);
-  EXPECT_GT(rebuilt->run_round().stats.latency(), 0.0);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Tests for the work-stealing worker pool behind the parallel matrix
-// runner: task completion, the idle barrier, stealing around a blocked
-// worker, exactly-once parallel_for semantics (including under heavily
-// skewed per-index costs), bit-identical slot writes at any --jobs, no
-// deadlock on nested/empty/exception paths, and exception propagation to
-// the calling thread.
+// Tests for the help-first fan-out pool behind the sweep sharding and the
+// intra-round chunk fan-out: exactly-once parallel_for semantics (including
+// under heavily skewed per-index costs and back-to-back small calls),
+// bit-identical slot writes at any --jobs, the serial fallbacks for nested
+// and re-entrant calls, no deadlock on nested/empty/exception paths, and
+// exception propagation to the calling thread.
 //
 // The scheduling paths here are concurrency-sensitive; to re-check them
 // under ThreadSanitizer use the dedicated preset (CI runs it on push):
@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,80 +20,6 @@
 
 namespace s2c2::util {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { ++count; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 50);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++count;
-      });
-    }
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, StealsQueuedWorkAroundABlockedWorker) {
-  // One task parks on a worker while the submission round-robin keeps
-  // loading every deque. Without stealing the tasks queued behind the
-  // parked one would wait for it; with stealing the siblings drain them,
-  // so everything except the parked task completes promptly.
-  std::atomic<int> done{0};
-  std::atomic<bool> release{false};
-  {
-    ThreadPool pool(4);
-    pool.submit([&] {
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      ++done;
-    });
-    for (int i = 0; i < 40; ++i) {
-      pool.submit([&] { ++done; });
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (done.load() < 40 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(done.load(), 40) << "tasks stranded behind the parked worker";
-    release.store(true);
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 41);
-  }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(3);
-  pool.wait_idle();  // nothing submitted: must not block
-  pool.submit([] {});
-  pool.wait_idle();
-  pool.wait_idle();  // idempotent after a drain
-}
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
   for (const std::size_t jobs : {1u, 2u, 5u, 16u}) {
@@ -168,9 +92,9 @@ TEST(ParallelFor, SkewedSlotWritesBitIdenticalAcrossJobCounts) {
 
 TEST(ParallelFor, NestedCallsDoNotDeadlock) {
   // Each outer index runs an inner parallel_for. The nesting contract
-  // (thread_pool.h): a free parallel_for issued from inside any pool
-  // worker falls back to SERIAL on the calling thread, so inner sweeps
-  // never wait on — or multiply — the outer pool's workers.
+  // (thread_pool.h): a free parallel_for issued from inside any fan-out
+  // body falls back to SERIAL on the calling thread, so inner sweeps never
+  // wait on — or multiply — the outer pool's workers.
   std::atomic<int> inner_total{0};
   parallel_for(6, 3, [&](std::size_t) {
     parallel_for(8, 2, [&](std::size_t) { ++inner_total; });
@@ -179,7 +103,7 @@ TEST(ParallelFor, NestedCallsDoNotDeadlock) {
 }
 
 TEST(ParallelFor, NestedCallInsideWorkerRunsSerial) {
-  // The serial fallback is observable: inside a pool worker in_worker()
+  // The serial fallback is observable: inside a fan-out body in_worker()
   // is true and a nested free parallel_for executes every index on the
   // calling thread itself.
   EXPECT_FALSE(ThreadPool::in_worker());
@@ -192,8 +116,8 @@ TEST(ParallelFor, NestedCallInsideWorkerRunsSerial) {
       if (std::this_thread::get_id() == outer_tid) ++inner_on_caller;
     });
   });
-  // The free parallel_for runs every index on a private pool's workers
-  // (the caller only waits), so all four outer indices see in_worker().
+  // Every outer index runs inside a fan-out body, on a worker of the
+  // temporary pool or on the draining caller, so all four see in_worker().
   EXPECT_EQ(outer_in_worker.load(), 4);
   EXPECT_EQ(inner_on_caller.load(), 4 * 16);
   EXPECT_FALSE(ThreadPool::in_worker());
@@ -210,20 +134,41 @@ TEST(ThreadPool, MemberParallelForRunsEveryIndexOnce) {
   }
 }
 
-TEST(ThreadPool, MemberParallelForIsHelpFirstFromInsideATask) {
-  // The deadlock scenario the help-first design removes: a pool task fans
-  // out on its own pool. The caller drains indices inline, so this
-  // completes even on a 1-thread pool whose only worker IS the caller.
+TEST(ThreadPool, ReentrantMemberCallRunsSerial) {
+  // A body that fans out on its own pool: the inner call finds the pool
+  // busy and runs every index on the calling thread, so it completes even
+  // on a 1-worker pool whose worker may be the caller.
   ThreadPool pool(1);
+  std::vector<std::atomic<int>> inner_on_caller(4);
   std::atomic<int> total{0};
-  std::atomic<bool> done{false};
-  pool.submit([&] {
-    pool.parallel_for(32, [&](std::size_t) { ++total; });
-    done = true;
+  pool.parallel_for(4, [&](std::size_t i) {
+    const std::thread::id outer_tid = std::this_thread::get_id();
+    pool.parallel_for(32, [&](std::size_t) {
+      ++total;
+      if (std::this_thread::get_id() == outer_tid) ++inner_on_caller[i];
+    });
   });
-  pool.wait_idle();
-  EXPECT_TRUE(done.load());
-  EXPECT_EQ(total.load(), 32);
+  EXPECT_EQ(total.load(), 4 * 32);
+  for (std::size_t i = 0; i < inner_on_caller.size(); ++i) {
+    EXPECT_EQ(inner_on_caller[i].load(), 32) << i;
+  }
+}
+
+TEST(ThreadPool, BackToBackSmallFanOutsStayExact) {
+  // Many count = 2 fan-outs on a 3-worker pool: the caller often drains
+  // both indices before a worker wakes, so workers keep waking into calls
+  // that are already closed or already replaced by the next one. Each call
+  // must still run its own indices exactly once, and a late helper must
+  // never run an old call's body.
+  ThreadPool pool(3);
+  constexpr std::size_t kCalls = 1000;
+  std::vector<int> slots(2 * kCalls, 0);
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    pool.parallel_for(2, [&, c](std::size_t i) { slots[2 * c + i] += 1; });
+  }
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    EXPECT_EQ(slots[s], 1) << "slot " << s;
+  }
 }
 
 TEST(ThreadPool, MemberParallelForPropagatesExceptions) {
