@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the numeric kernels and the
-// scheduler hot paths: dense/sparse matvec, MDS encode, chunked decode,
-// LU solve, allocation, and the LSTM step used each iteration.
+// scheduler hot paths: dense/sparse matvec, MDS encode, per-chunk vs
+// chunk-run worker products, chunked decode, LU solve, allocation, and
+// the LSTM step used each iteration.
 #include <benchmark/benchmark.h>
 
 #include "src/coding/chunked_decoder.h"
 #include "src/coding/mds_code.h"
+#include "src/core/coded_job.h"
 #include "src/linalg/lu.h"
 #include "src/linalg/sparse.h"
 #include "src/predict/lstm.h"
@@ -56,11 +58,43 @@ void BM_MdsEncode(benchmark::State& state) {
   const auto a = linalg::Matrix::random_uniform(rows, 256, rng);
   const coding::MdsCode code(12, 10);
   for (auto _ : state) {
-    auto parts = code.encode(a);
+    auto parts = code.encode(a, code.partition_rows(rows));
     benchmark::DoNotOptimize(parts.data());
   }
 }
 BENCHMARK(BM_MdsEncode)->Arg(1200)->Arg(4800);
+
+// One worker's whole partition as per-chunk kernel calls (run = 0) or as
+// one chunk run (run = 1), at the jobs-suite GD shape (shape = 0: a
+// 24 x 480 partition, one row per chunk) and the steady-n1000 shape
+// (shape = 1: 16 x 48, two rows per chunk). Partition 0 of a (3, 2) code
+// is systematic and fully live, so both forms compute every row.
+void BM_ChunkRows(benchmark::State& state) {
+  const bool gd = state.range(0) == 0;
+  const bool run = state.range(1) == 1;
+  const std::size_t rows = gd ? 24 : 16, cols = gd ? 480 : 48;
+  const std::size_t chunks = gd ? 24 : 8;
+  util::Rng rng(8);
+  const auto a = linalg::Matrix::random_uniform(2 * rows, cols, rng);
+  const core::CodedMatVecJob job(a, 3, 2, chunks);
+  const std::size_t rpc = job.rows_per_chunk();
+  linalg::Vector x(cols, 1.0), y(rows);
+  for (auto _ : state) {
+    if (run) {
+      job.compute_chunks_into(0, 0, chunks, x, 1, y);
+    } else {
+      for (std::size_t c = 0; c < chunks; ++c) {
+        job.compute_chunk_into(0, c, x, 1,
+                               std::span<double>(y).subspan(c * rpc, rpc));
+      }
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * cols));
+}
+BENCHMARK(BM_ChunkRows)->ArgsProduct({{0, 1}, {0, 1}})->ArgNames({"shape",
+                                                                   "run"});
 
 void BM_ChunkedDecode(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -70,7 +104,7 @@ void BM_ChunkedDecode(benchmark::State& state) {
   const coding::MdsCode code(n, k);
   const auto a =
       linalg::Matrix::random_uniform(k * chunks * rpc, 64, rng);
-  const auto parts = code.encode(a);
+  const auto parts = code.encode(a, chunks * rpc);
   linalg::Vector x(64, 1.0);
   // Precompute chunk results from the first k workers.
   std::vector<std::vector<std::vector<double>>> results(n);

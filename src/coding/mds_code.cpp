@@ -87,8 +87,10 @@ std::size_t MdsCode::partition_rows(std::size_t data_rows) const {
   return (data_rows + k() - 1) / k();
 }
 
-std::vector<EncodedPartition> MdsCode::encode(const linalg::Matrix& a) const {
-  const std::size_t pr = partition_rows(a.rows());
+std::vector<EncodedPartition> MdsCode::encode(const linalg::Matrix& a,
+                                              std::size_t pr) const {
+  S2C2_REQUIRE(pr >= partition_rows(a.rows()),
+               "partition_rows too small for the operator");
   std::vector<EncodedPartition> parts;
   parts.reserve(n());
   for (std::size_t j = 0; j < n(); ++j) {
@@ -109,9 +111,10 @@ std::vector<EncodedPartition> MdsCode::encode(const linalg::Matrix& a) const {
   return parts;
 }
 
-std::vector<EncodedPartition> MdsCode::encode(
-    const linalg::CsrMatrix& a) const {
-  const std::size_t pr = partition_rows(a.rows());
+std::vector<EncodedPartition> MdsCode::encode(const linalg::CsrMatrix& a,
+                                              std::size_t pr) const {
+  S2C2_REQUIRE(pr >= partition_rows(a.rows()),
+               "partition_rows too small for the operator");
   std::vector<EncodedPartition> parts;
   parts.reserve(n());
   for (std::size_t j = 0; j < n(); ++j) {

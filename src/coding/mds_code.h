@@ -1,7 +1,7 @@
 // (n,k)-MDS encoding of a matrix operator for coded matrix-vector jobs.
 //
 // The master splits the D x m data matrix A into k row blocks A_0..A_{k-1}
-// (padding D up to a multiple of k with zero rows), then hands worker j the
+// (rows past D read as zeros, never materialized), then hands worker j the
 // encoded partition  Ã_j = Σ_i G(j,i) · A_i. A worker computing rows
 // [r0,r1) of Ã_j · x produces exactly the values the chunked decoder needs
 // to reconstruct those rows of every A_i · x once k workers have covered
@@ -74,16 +74,21 @@ class MdsCode {
     return generator_;
   }
 
-  /// Rows of each partition for a D-row operator (= ceil(D/k)).
+  /// Minimum rows of each partition for a D-row operator (= ceil(D/k)).
   [[nodiscard]] std::size_t partition_rows(std::size_t data_rows) const;
 
-  /// Encodes a dense operator into n partitions of partition_rows() rows.
+  /// Encodes a dense operator into n partitions of `partition_rows` rows
+  /// each (>= partition_rows(a.rows())). Row block i covers operator rows
+  /// [i·partition_rows, (i+1)·partition_rows); rows past a.rows() are
+  /// implicit zeros, so callers padding to a chunk multiple never copy
+  /// the operator.
   [[nodiscard]] std::vector<EncodedPartition> encode(
-      const linalg::Matrix& a) const;
+      const linalg::Matrix& a, std::size_t partition_rows) const;
 
-  /// Encodes a sparse operator; systematic partitions stay CSR.
+  /// Encodes a sparse operator (same row-block layout); systematic
+  /// partitions stay CSR, their padding rows stored empty.
   [[nodiscard]] std::vector<EncodedPartition> encode(
-      const linalg::CsrMatrix& a) const;
+      const linalg::CsrMatrix& a, std::size_t partition_rows) const;
 
  private:
   GeneratorMatrix generator_;

@@ -16,32 +16,6 @@ std::size_t padded_partition_rows(std::size_t data_rows, std::size_t k,
   return (pr + chunks - 1) / chunks * chunks;
 }
 
-/// Zero-pads a dense operator to exactly k * partition_rows rows.
-linalg::Matrix pad_dense(const linalg::Matrix& a, std::size_t total_rows) {
-  if (a.rows() == total_rows) return a;
-  linalg::Matrix out(total_rows, a.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    std::copy(a.row(r).begin(), a.row(r).end(), out.row(r).begin());
-  }
-  return out;
-}
-
-linalg::CsrMatrix pad_sparse(const linalg::CsrMatrix& a,
-                             std::size_t total_rows) {
-  if (a.rows() == total_rows) return a;
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(a.nnz());
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto vals = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) {
-      trips.push_back({r, ci[p], vals[p]});
-    }
-  }
-  return {total_rows, a.cols(), std::move(trips)};
-}
-
 }  // namespace
 
 CodedMatVecJob::CodedMatVecJob(std::size_t data_rows, std::size_t data_cols,
@@ -61,7 +35,7 @@ CodedMatVecJob::CodedMatVecJob(const linalg::Matrix& a, std::size_t n,
       data_cols_(a.cols()),
       partition_rows_(padded_partition_rows(a.rows(), k, chunks_per_partition)),
       chunks_(chunks_per_partition) {
-  partitions_ = code_.encode(pad_dense(a, k * partition_rows_));
+  partitions_ = code_.encode(a, partition_rows_);
 }
 
 CodedMatVecJob::CodedMatVecJob(const linalg::CsrMatrix& a, std::size_t n,
@@ -72,7 +46,7 @@ CodedMatVecJob::CodedMatVecJob(const linalg::CsrMatrix& a, std::size_t n,
       data_cols_(a.cols()),
       partition_rows_(padded_partition_rows(a.rows(), k, chunks_per_partition)),
       chunks_(chunks_per_partition) {
-  partitions_ = code_.encode(pad_sparse(a, k * partition_rows_));
+  partitions_ = code_.encode(a, partition_rows_);
 }
 
 CodedMatVecJob CodedMatVecJob::cost_only(std::size_t data_rows,
@@ -86,20 +60,45 @@ void CodedMatVecJob::compute_chunk_into(std::size_t worker, std::size_t chunk,
                                         std::span<const double> x_panel,
                                         std::size_t width,
                                         std::span<double> out) const {
-  S2C2_REQUIRE(functional(), "compute_chunk_into on a cost-only job");
+  compute_chunks_into(worker, chunk, 1, x_panel, width, out);
+}
+
+void CodedMatVecJob::compute_chunks_into(std::size_t worker, std::size_t first,
+                                         std::size_t count,
+                                         std::span<const double> x_panel,
+                                         std::size_t width,
+                                         std::span<double> out) const {
+  S2C2_REQUIRE(functional(), "compute_chunks_into on a cost-only job");
   S2C2_REQUIRE(worker < n(), "worker out of range");
-  S2C2_REQUIRE(chunk < chunks_, "chunk out of range");
+  S2C2_REQUIRE(count >= 1 && first < chunks_ && count <= chunks_ - first,
+               "chunk run out of range");
   S2C2_REQUIRE(width >= 1 && x_panel.size() == data_cols_ * width,
                "x panel shape mismatch");
   const std::size_t rpc = rows_per_chunk();
-  S2C2_REQUIRE(out.size() == rpc * width, "chunk output span size mismatch");
-  if (width == 1) {
-    partitions_[worker].matvec_rows(chunk * rpc, (chunk + 1) * rpc, x_panel,
-                                    out);
-  } else {
-    partitions_[worker].matmat_rows(chunk * rpc, (chunk + 1) * rpc, x_panel,
-                                    width, out);
+  S2C2_REQUIRE(out.size() == count * rpc * width,
+               "chunk output span size mismatch");
+  const std::size_t r0 = first * rpc;
+  const std::size_t r1 = r0 + count * rpc;
+  const std::size_t live = std::clamp(live_rows(worker), r0, r1);
+  if (live > r0) {
+    const std::span<double> y = out.first((live - r0) * width);
+    if (width == 1) {
+      partitions_[worker].matvec_rows(r0, live, x_panel, y);
+    } else {
+      partitions_[worker].matmat_rows(r0, live, x_panel, width, y);
+    }
   }
+  // Padding rows: the kernel's result for a zero row and a finite panel.
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>((live - r0) * width),
+            out.end(), 0.0);
+}
+
+std::size_t CodedMatVecJob::live_rows(std::size_t worker) const {
+  if (!generator().is_systematic_row(worker)) return partition_rows_;
+  const std::size_t first_row = worker * partition_rows_;
+  return data_rows_ > first_row
+             ? std::min(partition_rows_, data_rows_ - first_row)
+             : 0;
 }
 
 coding::ChunkedDecoder CodedMatVecJob::make_decoder(

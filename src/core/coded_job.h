@@ -63,6 +63,17 @@ class CodedMatVecJob {
                           std::span<const double> x_panel, std::size_t width,
                           std::span<double> out) const;
 
+  /// Run form of compute_chunk_into: chunks [first, first + count) of
+  /// partition `worker` (no wrap) in one kernel call, count x
+  /// rows_per_chunk x width row-major values into `out` — bitwise the
+  /// concatenation of the per-chunk products. Rows that are structurally
+  /// zero (a systematic partition's padding past data_rows) are not
+  /// computed: they get +0.0, the kernel's value for a zero row and a
+  /// finite panel.
+  void compute_chunks_into(std::size_t worker, std::size_t first,
+                           std::size_t count, std::span<const double> x_panel,
+                           std::size_t width, std::span<double> out) const;
+
   /// Fresh decoder wired to this job's geometry, carrying `width` RHS
   /// values per computed row (width = b of the round's panel). Pass a
   /// DecodeContext built over generator() to reuse cached responder-set
@@ -96,6 +107,12 @@ class CodedMatVecJob {
  private:
   CodedMatVecJob(std::size_t data_rows, std::size_t data_cols, std::size_t n,
                  std::size_t k, std::size_t chunks);
+
+  /// Leading rows of partition `worker` that can be nonzero: a systematic
+  /// partition holds data rows [worker·pr, (worker+1)·pr), so the rows at
+  /// or past data_rows − worker·pr are padding; a parity partition mixes
+  /// every block and counts all pr rows.
+  [[nodiscard]] std::size_t live_rows(std::size_t worker) const;
 
   coding::MdsCode code_;
   std::size_t data_rows_ = 0;

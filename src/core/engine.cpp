@@ -88,41 +88,57 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
   // and cache keys are unchanged.
   //
   // Two phases: staging mutates the decoder (and the arrival order it
-  // records is fingerprinted behavior), so it runs serially first; the
-  // chunk products themselves are pure writes into the staged spans —
-  // arena-backed and stable until the next reset() — and fan out over
-  // the inner pool when each is big enough to pay for it. Each task owns
-  // its span exclusively, and every product is computed by the serial
-  // kernel, so the decoded bits are identical at any inner_jobs.
+  // records is fingerprinted behavior), so it runs serially first, chunk
+  // by chunk; the products themselves are pure writes into the staged
+  // spans — arena-backed and stable until the next reset(). A worker's
+  // consecutive assigned chunks whose slots the arena laid out back to
+  // back merge into one run, computed by one kernel call over the run's
+  // rows (the paper's one dgemv per worker); a wrapped range, an arena
+  // block boundary and every recovery extra start a new run. Runs fan out
+  // over the inner pool when each chunk is big enough to pay for it. Each
+  // task owns its span exclusively, and every row is computed by the
+  // serial kernel's chain, so the decoded bits are identical at any
+  // inner_jobs and any run split.
   decoder_.reset(width);
   const std::size_t chunks = ledger.alloc.chunks_per_partition;
   chunk_tasks_.clear();
   for (std::size_t w = 0; w < spec_.num_workers(); ++w) {
     if (ledger.used[w]) {
       const sched::ChunkRange& r = ledger.alloc.per_worker[w];
+      const std::size_t run_start = chunk_tasks_.size();
       for (std::size_t i = 0; i < r.count; ++i) {
         const std::size_t c = (r.begin + i) % chunks;
-        chunk_tasks_.push_back({w, c, decoder_.stage_chunk(w, c)});
+        const std::span<double> slot = decoder_.stage_chunk(w, c);
+        if (chunk_tasks_.size() > run_start) {
+          ChunkTask& run = chunk_tasks_.back();
+          if (run.first + run.count == c &&
+              run.out.data() + run.out.size() == slot.data()) {
+            ++run.count;
+            run.out = {run.out.data(), run.out.size() + slot.size()};
+            continue;
+          }
+        }
+        chunk_tasks_.push_back({w, c, 1, slot});
       }
       for (std::size_t c : ledger.extra_chunks[w]) {
         const std::span<double> slot = decoder_.stage_chunk(w, c);
         if (!slot.empty()) {  // reassigned work can duplicate the original
-          chunk_tasks_.push_back({w, c, slot});
+          chunk_tasks_.push_back({w, c, 1, slot});
         }
       }
     }
   }
+  const auto compute = [&](const ChunkTask& t) {
+    job_.compute_chunks_into(t.worker, t.first, t.count, x_panel, width,
+                             t.out);
+  };
   util::ThreadPool* const pool = inner_pool();
   if (pool == nullptr || chunk_tasks_.size() < 2 ||
       job_.chunk_flops(width) < kMinParallelChunkFlops) {
-    for (const ChunkTask& t : chunk_tasks_) {
-      job_.compute_chunk_into(t.worker, t.chunk, x_panel, width, t.out);
-    }
+    for (const ChunkTask& t : chunk_tasks_) compute(t);
   } else {
-    pool->parallel_for(chunk_tasks_.size(), [&](std::size_t i) {
-      const ChunkTask& t = chunk_tasks_[i];
-      job_.compute_chunk_into(t.worker, t.chunk, x_panel, width, t.out);
-    });
+    pool->parallel_for(chunk_tasks_.size(),
+                       [&](std::size_t i) { compute(chunk_tasks_[i]); });
   }
   if (spec_.byzantine.active()) {
     // Re-add the corrupted responses the executor stripped, appended

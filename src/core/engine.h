@@ -43,9 +43,10 @@ class CodedComputeEngine : public RoundExecutor {
   [[nodiscard]] const CodedMatVecJob& job() const noexcept { return job_; }
 
   /// The one intra-round parallel layer: with inner_jobs >= 2, a
-  /// functional round fans its per-(worker, chunk) products out over the
-  /// inner pool only when one product — job().chunk_flops(width) — costs
-  /// at least this many flops. Smaller tasks run serially: on a 4-thread
+  /// functional round fans its chunk runs (one per worker's contiguous
+  /// assigned range, plus one per recovery extra) out over the inner pool
+  /// only when one chunk product — job().chunk_flops(width) — costs at
+  /// least this many flops. Smaller tasks run serially: on a 4-thread
   /// host the fan-out loses below ~400 flops per task and wins from 512
   /// up (measurements in docs/PERFORMANCE.md "Intra-round parallelism").
   static constexpr double kMinParallelChunkFlops = 512.0;
@@ -119,14 +120,16 @@ class CodedComputeEngine : public RoundExecutor {
       const RoundLedger& ledger, std::size_t width,
       std::span<const double> x_panel);
 
-  /// One staged chunk product awaiting compute: the (worker, chunk) pair
-  /// and its arena-backed decoder slot. Staging (which mutates decoder
-  /// state and fixes the fingerprinted arrival order) runs serially;
-  /// the pure compute into these non-overlapping spans then fans out
-  /// over the engine's inner pool when kMinParallelChunkFlops allows.
+  /// One staged run of chunk products awaiting compute: chunks
+  /// [first, first + count) of `worker`'s partition and their contiguous
+  /// arena-backed decoder slots. Staging (which mutates decoder state and
+  /// fixes the fingerprinted arrival order) runs serially; the pure
+  /// compute into these non-overlapping spans then fans out over the
+  /// engine's inner pool when kMinParallelChunkFlops allows.
   struct ChunkTask {
     std::size_t worker;
-    std::size_t chunk;
+    std::size_t first;
+    std::size_t count;
     std::span<double> out;
   };
 

@@ -1,7 +1,6 @@
 #include "src/core/round_executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -552,8 +551,6 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
 
   // ---- observed speeds -> predictor ----
   result.observed_speeds.assign(n, 0.0);
-  bool sampled = false;
-  bool mispredicted = false;
   for (std::size_t w = 0; w < n; ++w) {
     double obs;
     if (timing[w].assigned_chunks == 0) {
@@ -581,15 +578,9 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
             (until - timing[w].x_arrival);
     }
     result.observed_speeds[w] = obs;
-    if (obs > 0.0) {
-      sampled = true;
-      mispredicted = mispredicted ||
-                     std::abs(result.predicted_speeds[w] - obs) / obs > 0.15;
-    }
     if (predictor_) predictor_->observe(w, obs);
   }
-  predicted_rounds_ += sampled ? 1 : 0;
-  mispredicted_rounds_ += mispredicted ? 1 : 0;
+  count_prediction_round(result.predicted_speeds, result.observed_speeds);
 
   // ---- health telemetry ----
   // Liveness pulses for the worker-health monitor. Unlike the predictor

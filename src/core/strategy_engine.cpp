@@ -1,5 +1,6 @@
 #include "src/core/strategy_engine.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +66,24 @@ double StrategyEngine::misprediction_rate() const {
              ? static_cast<double>(mispredicted_rounds_) /
                    static_cast<double>(predicted_rounds_)
              : 0.0;
+}
+
+void StrategyEngine::count_prediction_round(std::span<const double> predicted,
+                                            std::span<const double> observed) {
+  S2C2_CHECK(predicted.size() == observed.size(),
+             "one prediction per observed speed");
+  bool sampled = false;
+  bool mispredicted = false;
+  for (std::size_t w = 0; w < observed.size(); ++w) {
+    const double obs = observed[w];
+    if (obs > 0.0) {
+      sampled = true;
+      mispredicted =
+          mispredicted || std::abs(predicted[w] - obs) / obs > 0.15;
+    }
+  }
+  predicted_rounds_ += sampled ? 1 : 0;
+  mispredicted_rounds_ += mispredicted ? 1 : 0;
 }
 
 double total_latency(std::span<const RoundResult> results) {

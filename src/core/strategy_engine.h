@@ -190,6 +190,13 @@ class StrategyEngine {
     return inner_pool_.get();
   }
 
+  /// Counts one round toward misprediction_rate(), by the paper's
+  /// per-iteration rule (§6.1): the round sampled predictions when any
+  /// worker observed a positive speed, and mispredicted when any such
+  /// worker's prediction missed its observation by more than 15%.
+  void count_prediction_round(std::span<const double> predicted,
+                              std::span<const double> observed);
+
   /// Pops a recycled RoundResult (or a fresh one if the pool is empty).
   /// The recycled result keeps its payload capacity but carries stale
   /// contents — run_round implementations must overwrite stats and either
@@ -207,11 +214,11 @@ class StrategyEngine {
   sim::Time now_ = 0.0;
   std::size_t rounds_run_ = 0;
   std::size_t timeouts_ = 0;
-  std::size_t mispredicted_rounds_ = 0;
-  std::size_t predicted_rounds_ = 0;  // rounds with >= 1 prediction sample
 
  private:
   StrategyKind kind_;
+  std::size_t mispredicted_rounds_ = 0;
+  std::size_t predicted_rounds_ = 0;  // rounds with >= 1 prediction sample
   std::vector<RoundResult> result_pool_;
   std::size_t inner_jobs_ = 1;
   std::unique_ptr<util::ThreadPool> inner_pool_;

@@ -139,6 +139,12 @@ void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
 void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
                   std::size_t cols, const double* S2C2_RESTRICT x,
                   std::size_t width, double* S2C2_RESTRICT y) {
+  if (width == 1) {
+    // A one-column panel is a vector with unit stride: the matvec row tile
+    // runs the same per-element chains as the matmat tail it replaces.
+    dense_matvec(a, rows, cols, x, y);
+    return;
+  }
   std::size_t r = 0;
   for (; r + kMatmatRowTile <= rows; r += kMatmatRowTile) {
     const double* S2C2_RESTRICT a0 = a + r * cols;
@@ -184,6 +190,10 @@ void csr_matmat(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
                 const double* S2C2_RESTRICT values,
                 const double* S2C2_RESTRICT x, std::size_t width,
                 double* S2C2_RESTRICT y) {
+  if (width == 1) {
+    csr_matvec(row_ptr, rows, col_idx, values, x, y);
+    return;
+  }
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t p0 = row_ptr[r];
     const std::size_t p1 = row_ptr[r + 1];

@@ -49,7 +49,7 @@ void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
 
 /// Y = A * X for row-major A (rows x cols) and row-major panel X
 /// (cols x width); Y is rows x width. Column j of Y is bitwise the
-/// dense_matvec of column j of X.
+/// dense_matvec of column j of X; width 1 runs dense_matvec itself.
 void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
                   std::size_t cols, const double* S2C2_RESTRICT x,
                   std::size_t width, double* S2C2_RESTRICT y);
@@ -64,7 +64,8 @@ void csr_matvec(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
 
 /// Tiled CSR panel product: Y (rows x width) = A * X (cols x width),
 /// one pass over each row's nonzeros per column tile instead of one pass
-/// per RHS column. Same row sub-range convention as csr_matvec.
+/// per RHS column. Same row sub-range convention as csr_matvec; width 1
+/// runs csr_matvec itself.
 void csr_matmat(const std::size_t* S2C2_RESTRICT row_ptr, std::size_t rows,
                 const std::size_t* S2C2_RESTRICT col_idx,
                 const double* S2C2_RESTRICT values,

@@ -24,7 +24,8 @@ Lstm::Lstm(std::size_t input_dim, std::size_t hidden_dim, std::uint64_t seed)
 }
 
 Lstm::State Lstm::initial_state() const {
-  return State{std::vector<double>(hid_, 0.0), std::vector<double>(hid_, 0.0)};
+  return State{std::vector<double>(hid_, 0.0), std::vector<double>(hid_, 0.0),
+               std::vector<double>(hid_), std::vector<double>(hid_)};
 }
 
 struct Lstm::StepCache {
@@ -43,7 +44,10 @@ double Lstm::step(std::span<const double> x, State& state) const {
   const double* wy = params_.data() + off_wy();
   const double by = params_[off_by()];
 
-  std::vector<double> h_new(hid_), c_new(hid_);
+  state.h_next.resize(hid_);
+  state.c_next.resize(hid_);
+  double* const h_new = state.h_next.data();
+  double* const c_new = state.c_next.data();
   for (std::size_t j = 0; j < hid_; ++j) {
     double zi = b[j], zf = b[hid_ + j], zg = b[2 * hid_ + j],
            zo = b[3 * hid_ + j];
@@ -66,8 +70,8 @@ double Lstm::step(std::span<const double> x, State& state) const {
     c_new[j] = gf * state.c[j] + gi * gg;
     h_new[j] = go * std::tanh(c_new[j]);
   }
-  state.h = std::move(h_new);
-  state.c = std::move(c_new);
+  state.h.swap(state.h_next);
+  state.c.swap(state.c_next);
   double y = by;
   for (std::size_t j = 0; j < hid_; ++j) y += wy[j] * state.h[j];
   return y;

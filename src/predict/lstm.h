@@ -30,15 +30,20 @@ class Lstm {
     return params_.size();
   }
 
+  /// Recurrent state. `h_next`/`c_next` are step()'s scratch: it writes
+  /// the new state there and swaps, so a warm step never touches the heap.
   struct State {
     std::vector<double> h;
     std::vector<double> c;
+    std::vector<double> h_next;
+    std::vector<double> c_next;
   };
 
   [[nodiscard]] State initial_state() const;
 
   /// One recurrence step: consumes x, updates state in place, returns the
-  /// scalar readout y = Wy·h + by.
+  /// scalar readout y = Wy·h + by. Allocation-free once the state's
+  /// scratch is sized (initial_state() sizes it).
   double step(std::span<const double> x, State& state) const;
 
   struct TrainConfig {

@@ -31,6 +31,7 @@
 #include "src/core/strategy_config.h"
 #include "src/core/strategy_engine.h"
 #include "src/linalg/matrix.h"
+#include "src/predict/lstm.h"
 #include "src/predict/predictors.h"
 #include "src/sched/reassignment.h"
 #include "src/util/arena.h"
@@ -247,6 +248,37 @@ TEST_P(AllocationFreeRoundsTest, SteadyStateBlockRoundIsHeapFree) {
   EXPECT_EQ(allocs, 0u)
       << strategy_name(kind) << ": steady-state run_round_block(b=" << width
       << ") touched the heap " << allocs << " times";
+}
+
+TEST(AllocationFreeRounds, SteadyStateLstmPredictedRoundIsHeapFree) {
+  // The predictor is part of the round: an LSTM-driven s2c2 engine steps
+  // the shared model once per worker per round (the steady-n1000
+  // workload's predictor), each step writing into the worker state's own
+  // scratch. Constant speeds keep the LSTM's predictions equal across
+  // workers, so the round stays on the timeout-free path.
+  util::Rng rng(31);
+  const linalg::Matrix a = linalg::Matrix::random_uniform(240, 30, rng);
+  const predict::Lstm model(1, 4, 37);
+  core::EngineParams p;
+  p.cluster = test::make_spec(test::uniform_traces(12));
+  p.dense = &a;
+  p.k = 10;
+  p.chunks_per_partition = 12;
+  p.predictor = std::make_unique<predict::LstmPredictor>(12, model);
+  const auto engine = core::make_engine(StrategyKind::kS2C2, std::move(p));
+
+  linalg::Vector x(a.cols());
+  for (auto& v : x) v = rng.normal();
+  for (int warm = 0; warm < 4; ++warm) {
+    engine->recycle(engine->run_round(x));
+  }
+  core::RoundResult probe;
+  const std::size_t allocs = count_allocations(
+      [&] { probe = engine->run_round(x); });
+  EXPECT_FALSE(probe.stats.timeout_fired);
+  EXPECT_EQ(allocs, 0u) << "steady-state LSTM-predicted run_round touched "
+                           "the heap "
+                        << allocs << " times";
 }
 
 TEST(AllocationFreeRounds, ClaimMatchesTheMdsFamily) {

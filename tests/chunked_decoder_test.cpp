@@ -17,7 +17,7 @@ struct Fixture {
           ParityKind kind, std::uint64_t seed)
       : code(n, k, kind), rng(seed) {
     a = linalg::Matrix::random_uniform(rows, cols, rng);
-    parts = code.encode(a);
+    parts = code.encode(a, code.partition_rows(rows));
     x.resize(cols);
     for (auto& v : x) v = rng.normal();
     truth = a.matvec(x);

@@ -217,6 +217,34 @@ TEST(KernelEquivalence, CsrMatmatBitwiseMatchesNaive) {
   }
 }
 
+TEST(KernelEquivalence, WidthOneMatmatIsTheMatvec) {
+  // A one-column panel takes the matvec kernel: rows 1-9 cross every
+  // matvec row-tile tail and every matmat row-pair tail.
+  util::Rng rng(0xF1);
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (const std::size_t cols : {1u, 6u, 17u}) {
+      const std::vector<double> a = random_values(rows * cols, rng);
+      const std::vector<double> x = random_values(cols, rng);
+      std::vector<double> y(rows, -1.0), ref(rows, -2.0);
+      kernels::dense_matmat(a.data(), rows, cols, x.data(), 1, y.data());
+      kernels::dense_matvec(a.data(), rows, cols, x.data(), ref.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(y[r], ref[r]) << "dense " << rows << "x" << cols;
+      }
+
+      const CsrMatrix m = random_csr(rows, cols, 0.4, rng);
+      std::vector<double> ys(rows, -1.0), refs(rows, -2.0);
+      kernels::csr_matmat(m.row_ptr().data(), rows, m.col_idx().data(),
+                          m.values().data(), x.data(), 1, ys.data());
+      kernels::csr_matvec(m.row_ptr().data(), rows, m.col_idx().data(),
+                          m.values().data(), x.data(), refs.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(ys[r], refs[r]) << "csr " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalence, MatrixWrappersUseTheSameChains) {
   // Matrix::matvec/matmat and the _into forms must all emit the kernel
   // results — no wrapper may introduce its own arithmetic.
