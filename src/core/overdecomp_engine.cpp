@@ -203,6 +203,7 @@ RoundResult OverDecompositionEngine::run_round_impl(
   }
   result.stats.coverage = end;  // uncoded: no master decode after collection
   result.stats.end = end;
+  count_prediction_round(result.predicted_speeds, result.observed_speeds);
 
   // Uncoded execution computes the exact product by construction: forward
   // it so functional loops go through the same code path as the coded

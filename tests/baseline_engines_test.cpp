@@ -155,6 +155,24 @@ TEST(OverDecomp, OracleTracksProportionalShares) {
   EXPECT_NEAR(r.back().stats.latency(), 0.016, 0.004);
 }
 
+TEST(OverDecomp, CountsMispredictedRoundsByThePaperRule) {
+  // The coded engines' per-round rule: one worker of ten runs at half the
+  // speed an equal-speed predictor assumes, so every round misses by more
+  // than 15%; an oracle on constant speeds never misses.
+  auto traces = test::uniform_traces(10);
+  traces[0] = sim::SpeedTrace::constant(0.5);
+  OverDecompositionEngine equal(12000, 100, make_spec(traces), {},
+                                std::make_unique<predict::EqualSpeedPredictor>());
+  (void)equal.run_rounds(4);
+  EXPECT_EQ(equal.misprediction_rate(), 1.0);
+
+  OverDecompConfig oracle;
+  oracle.oracle_speeds = true;
+  OverDecompositionEngine exact(12000, 100, make_spec(traces), oracle);
+  (void)exact.run_rounds(4);
+  EXPECT_EQ(exact.misprediction_rate(), 0.0);
+}
+
 // ---- product forwarding (the run_round(x) unification) -------------------
 // The uncoded baselines must forward the exact product in functional mode,
 // so job-driver convergence loops drive every strategy through one code

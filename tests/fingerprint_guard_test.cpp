@@ -35,7 +35,9 @@ constexpr char kSmallFunctionalGolden[] = "5459bbe40e4c045d";
 constexpr char kLargeScaleCellGolden[] = "52243eed9f56ea89";
 // Re-pinned when misprediction_rate became the per-round rate (rounds with
 // any worker off by > 15%); every other JobResult field is byte-identical.
-constexpr char kJobSuiteGolden[] = "26f20183c3bde376";
+// Re-pinned when over-decomposition began counting mis-predicted rounds by
+// the same rule: only its 8 jobs' misprediction_rate moved.
+constexpr char kJobSuiteGolden[] = "035b0660dd995ebc";
 // Pinned at PR 6 (telemetry + byzantine verification), seed 42. Unlike the
 // PR 5 goldens, robustness-profile cells also hash the byzantine/health
 // counters (byzantine_detected, corrupted_chunks, degrading_workers,
