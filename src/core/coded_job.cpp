@@ -21,7 +21,7 @@ std::size_t padded_partition_rows(std::size_t data_rows, std::size_t k,
 CodedMatVecJob::CodedMatVecJob(std::size_t data_rows, std::size_t data_cols,
                                std::size_t n, std::size_t k,
                                std::size_t chunks)
-    : code_(n, k),
+    : code_(std::make_shared<const coding::MdsCode>(n, k)),
       data_rows_(data_rows),
       data_cols_(data_cols),
       partition_rows_(padded_partition_rows(data_rows, k, chunks)),
@@ -30,23 +30,25 @@ CodedMatVecJob::CodedMatVecJob(std::size_t data_rows, std::size_t data_cols,
 CodedMatVecJob::CodedMatVecJob(const linalg::Matrix& a, std::size_t n,
                                std::size_t k, std::size_t chunks_per_partition,
                                coding::ParityKind parity)
-    : code_(n, k, parity),
+    : code_(std::make_shared<const coding::MdsCode>(n, k, parity)),
       data_rows_(a.rows()),
       data_cols_(a.cols()),
       partition_rows_(padded_partition_rows(a.rows(), k, chunks_per_partition)),
       chunks_(chunks_per_partition) {
-  partitions_ = code_.encode(a, partition_rows_);
+  partitions_ = std::make_shared<const std::vector<coding::EncodedPartition>>(
+      code_->encode(a, partition_rows_));
 }
 
 CodedMatVecJob::CodedMatVecJob(const linalg::CsrMatrix& a, std::size_t n,
                                std::size_t k, std::size_t chunks_per_partition,
                                coding::ParityKind parity)
-    : code_(n, k, parity),
+    : code_(std::make_shared<const coding::MdsCode>(n, k, parity)),
       data_rows_(a.rows()),
       data_cols_(a.cols()),
       partition_rows_(padded_partition_rows(a.rows(), k, chunks_per_partition)),
       chunks_(chunks_per_partition) {
-  partitions_ = code_.encode(a, partition_rows_);
+  partitions_ = std::make_shared<const std::vector<coding::EncodedPartition>>(
+      code_->encode(a, partition_rows_));
 }
 
 CodedMatVecJob CodedMatVecJob::cost_only(std::size_t data_rows,
@@ -83,9 +85,9 @@ void CodedMatVecJob::compute_chunks_into(std::size_t worker, std::size_t first,
   if (live > r0) {
     const std::span<double> y = out.first((live - r0) * width);
     if (width == 1) {
-      partitions_[worker].matvec_rows(r0, live, x_panel, y);
+      (*partitions_)[worker].matvec_rows(r0, live, x_panel, y);
     } else {
-      partitions_[worker].matmat_rows(r0, live, x_panel, width, y);
+      (*partitions_)[worker].matmat_rows(r0, live, x_panel, width, y);
     }
   }
   // Padding rows: the kernel's result for a zero row and a finite panel.
@@ -103,7 +105,7 @@ std::size_t CodedMatVecJob::live_rows(std::size_t worker) const {
 
 coding::ChunkedDecoder CodedMatVecJob::make_decoder(
     coding::DecodeContext* context, std::size_t width) const {
-  return coding::ChunkedDecoder(code_.generator(), partition_rows_, chunks_,
+  return coding::ChunkedDecoder(code_->generator(), partition_rows_, chunks_,
                                 width, context);
 }
 
@@ -133,7 +135,7 @@ double CodedMatVecJob::chunk_flops(std::size_t width) const {
 }
 
 std::size_t CodedMatVecJob::partition_bytes(std::size_t worker) const {
-  if (functional()) return partitions_.at(worker).storage_bytes();
+  if (functional()) return partitions_->at(worker).storage_bytes();
   return partition_rows_ * data_cols_ * 8;
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -40,8 +41,8 @@ class CodedMatVecJob {
                                   std::size_t n, std::size_t k,
                                   std::size_t chunks_per_partition);
 
-  [[nodiscard]] std::size_t n() const { return code_.n(); }
-  [[nodiscard]] std::size_t k() const { return code_.k(); }
+  [[nodiscard]] std::size_t n() const { return code_->n(); }
+  [[nodiscard]] std::size_t k() const { return code_->k(); }
   [[nodiscard]] std::size_t data_rows() const { return data_rows_; }
   [[nodiscard]] std::size_t data_cols() const { return data_cols_; }
   [[nodiscard]] std::size_t partition_rows() const { return partition_rows_; }
@@ -49,9 +50,9 @@ class CodedMatVecJob {
   [[nodiscard]] std::size_t rows_per_chunk() const {
     return partition_rows_ / chunks_;
   }
-  [[nodiscard]] bool functional() const { return !partitions_.empty(); }
+  [[nodiscard]] bool functional() const { return partitions_ != nullptr; }
   [[nodiscard]] const coding::GeneratorMatrix& generator() const {
-    return code_.generator();
+    return code_->generator();
   }
 
   /// Worker-side kernel: writes chunk `chunk` of partition `worker` times
@@ -114,12 +115,16 @@ class CodedMatVecJob {
   /// every block and counts all pr rows.
   [[nodiscard]] std::size_t live_rows(std::size_t worker) const;
 
-  coding::MdsCode code_;
+  // The code and the encoded partitions never change after construction,
+  // so copies of a job (each engine takes one) share them instead of
+  // duplicating the n x k generator and the n partitions.
+  std::shared_ptr<const coding::MdsCode> code_;
   std::size_t data_rows_ = 0;
   std::size_t data_cols_ = 0;
   std::size_t partition_rows_ = 0;  // padded to a multiple of chunks_
   std::size_t chunks_ = 0;
-  std::vector<coding::EncodedPartition> partitions_;  // empty in cost-only
+  std::shared_ptr<const std::vector<coding::EncodedPartition>>
+      partitions_;  // null in cost-only
 };
 
 }  // namespace s2c2::core

@@ -36,6 +36,21 @@ TEST(Engine, RejectsGranularityMismatch) {
                std::invalid_argument);
 }
 
+TEST(Engine, EnginesShareTheirJobsEncodedOperator) {
+  // An engine copies the job it runs; the copy shares the immutable code
+  // and partitions instead of duplicating the n x k generator and the n
+  // encoded partitions, and still decodes the right product.
+  FunctionalSetup f(6, 4);
+  EngineConfig cfg;
+  cfg.chunks_per_partition = kChunks;
+  CodedComputeEngine engine(f.job, test::make_spec(test::uniform_traces(6)),
+                            cfg);
+  EXPECT_EQ(&engine.job().generator(), &f.job.generator());
+  const RoundResult r = engine.run_round(f.x);
+  ASSERT_TRUE(r.y.has_value());
+  test::expect_close(*r.y, f.truth, 1e-9);
+}
+
 struct StrategyParam {
   StrategyKind strategy;
   std::size_t stragglers;
