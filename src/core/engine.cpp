@@ -105,13 +105,12 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
   for (std::size_t w = 0; w < spec_.num_workers(); ++w) {
     if (ledger.used[w]) {
       const sched::ChunkRange& r = ledger.alloc.per_worker[w];
-      const std::size_t run_start = chunk_tasks_.size();
       for (std::size_t i = 0; i < r.count; ++i) {
         const std::size_t c = (r.begin + i) % chunks;
         const std::span<double> slot = decoder_.stage_chunk(w, c);
-        if (chunk_tasks_.size() > run_start) {
+        if (!chunk_tasks_.empty()) {
           ChunkTask& run = chunk_tasks_.back();
-          if (run.first + run.count == c &&
+          if (run.worker == w && run.first + run.count == c &&
               run.out.data() + run.out.size() == slot.data()) {
             ++run.count;
             run.out = {run.out.data(), run.out.size() + slot.size()};

@@ -155,8 +155,10 @@ TEST(ChunkRuns, InnerPoolFanOutOfRunsMatchesSerialBitForBit) {
   // kMinParallelChunkFlops: 470 rows over k = 10 with 4 chunks gives
   // 48-row partitions, 12 rows per chunk, and systematic partition 9 live
   // to its row 38 (inside chunk 3). Two workers slow mid-run so the §4.3
-  // timeout reassigns chunks (recovery extras, each its own task).
-  // inner_jobs = 4 fans the runs out; the products keep the serial bits.
+  // timeout reassigns chunks (recovery extras, each its own task). At
+  // b = 16 the round's decoder slots span more than one arena block.
+  // inner_jobs = 4 fans the runs out; the products keep the serial bits
+  // and match the direct product.
   util::Rng rng(59);
   const linalg::Matrix a = linalg::Matrix::random_uniform(470, 64, rng);
   const auto make = [&a](std::size_t inner_jobs) {
@@ -187,6 +189,12 @@ TEST(ChunkRuns, InnerPoolFanOutOfRunsMatchesSerialBitForBit) {
       const std::span<const double> py =
           width == 1 ? std::span<const double>(*p.y) : p.y_block->data();
       EXPECT_EQ(bits(sy), bits(py)) << "round " << round << " b=" << width;
+      const linalg::Matrix truth = a.matmat(x);
+      ASSERT_EQ(sy.size(), truth.size());
+      for (std::size_t i = 0; i < sy.size(); ++i) {
+        ASSERT_NEAR(sy[i], truth.data()[i], 1e-9)
+            << "round " << round << " b=" << width << " value " << i;
+      }
     }
     EXPECT_GT(timeouts, 0u) << "the rig must exercise recovery extras";
   }
