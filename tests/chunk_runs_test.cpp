@@ -10,8 +10,8 @@
 // rows 32..36, so its live boundary falls inside chunk 2; partition 5 is
 // all padding; partitions 6 and 7 are parity.
 //
-// The engine cases run the fan-out of runs over the inner pool and ride
-// in the TSan preset's filter.
+// The engine case fans runs out over the inner pool; the suite rides in
+// the TSan preset's filter.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -120,22 +120,6 @@ TEST(ChunkRuns, SparseRunsMatchChunksAndKernelBitwise) {
   check_runs(job, code.encode(a, job.partition_rows()), rng);
 }
 
-TEST(ChunkRuns, PaddingRowsArePositiveZero) {
-  util::Rng rng(47);
-  const linalg::Matrix a = linalg::Matrix::random_uniform(kRows, kCols, rng);
-  const core::CodedMatVecJob job(a, kN, kK, kChunks);
-  const std::vector<double> x = random_panel(3, rng);
-  std::vector<double> out(job.partition_rows() * 3, -1.0);
-  // Partition 5 is all padding; partition 4's rows 5..7 are.
-  job.compute_chunks_into(5, 0, kChunks, x, 3, out);
-  for (const std::uint64_t b : bits(out)) EXPECT_EQ(b, 0u);
-  job.compute_chunks_into(4, 0, kChunks, x, 3, out);
-  for (std::size_t i = 5 * 3; i < out.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]), 0u) << "value " << i;
-  }
-  EXPECT_NE(out[4 * 3], 0.0);  // data row 36, the last live one
-}
-
 TEST(ChunkRuns, RejectsWrappedEmptyAndMisSizedRuns) {
   util::Rng rng(53);
   const linalg::Matrix a = linalg::Matrix::random_uniform(kRows, kCols, rng);
@@ -152,15 +136,16 @@ TEST(ChunkRuns, RejectsWrappedEmptyAndMisSizedRuns) {
 
 TEST(ChunkRuns, InnerPoolFanOutOfRunsMatchesSerialBitForBit) {
   // s2c2 over a padded operator whose chunk products cross
-  // kMinParallelChunkFlops: 470 rows over k = 10 with 4 chunks gives
-  // 48-row partitions, 12 rows per chunk, and systematic partition 9 live
-  // to its row 38 (inside chunk 3). Two workers slow mid-run so the §4.3
+  // kMinParallelChunkFlops: 700 rows over k = 10 with 4 chunks gives
+  // 72-row partitions, 18 rows per chunk, and systematic partition 9 live
+  // to its row 52 (inside chunk 2). Two workers slow mid-run so the §4.3
   // timeout reassigns chunks (recovery extras, each its own task). At
-  // b = 16 the round's decoder slots span more than one arena block.
-  // inner_jobs = 4 fans the runs out; the products keep the serial bits
-  // and match the direct product.
+  // b = 16 a round stages 10 x 72 x 16 doubles (90 KiB), more than one
+  // 64 KiB arena block, so a worker's slots can straddle a block boundary
+  // and must split its run there. inner_jobs = 4 fans the runs out; the
+  // products keep the serial bits and match the direct product.
   util::Rng rng(59);
-  const linalg::Matrix a = linalg::Matrix::random_uniform(470, 64, rng);
+  const linalg::Matrix a = linalg::Matrix::random_uniform(700, 64, rng);
   const auto make = [&a](std::size_t inner_jobs) {
     std::vector<sim::SpeedTrace> traces = test::uniform_traces(12);
     traces[2] = sim::SpeedTrace::step(1e-3, 1.0, 0.2);
