@@ -1,7 +1,7 @@
 // Full cloud-deployment walkthrough: generate a shared-tenancy cluster,
-// train the LSTM speed predictor on historical traces, then run SVM
-// iterations under every strategy the paper compares — a miniature of the
-// §7.2 evaluation campaign.
+// train the LSTM speed predictor on historical traces, then run cost-only
+// rounds at the paper's SVM operator shape under the strategies it
+// compares — a miniature of the §7.2 evaluation campaign.
 //
 //   build/examples/cloud_simulation
 #include <iostream>

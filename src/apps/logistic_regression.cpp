@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/util/require.h"
-
 namespace s2c2::apps {
 
 linalg::Vector logistic_residual(const workload::Dataset& data,
@@ -38,45 +36,6 @@ linalg::Vector logistic_gradient(const workload::Dataset& data,
   auto grad = data.x.matvec_transposed(resid);
   linalg::axpy(l2_reg, w, grad);
   return grad;
-}
-
-TrainResult train_logistic_regression(const workload::Dataset& data,
-                                      const core::ClusterSpec& spec,
-                                      const core::EngineConfig& config,
-                                      const GdConfig& gd) {
-  S2C2_REQUIRE(data.x.rows() == data.y.size(), "labels/rows mismatch");
-  const std::size_t n = spec.num_workers();
-  const std::size_t k =
-      gd.k != 0 ? gd.k : std::max<std::size_t>(1, n >= 3 ? n - 2 : n);
-  S2C2_REQUIRE(k <= n, "k must be <= n");
-  const std::size_t features = data.x.cols();
-  const std::size_t c = config.chunks_per_partition;
-
-  // Encode both operators once; iterations move no data.
-  core::CodedComputeEngine forward(core::CodedMatVecJob(data.x, n, k, c),
-                                   spec, config);
-  core::CodedComputeEngine backward(
-      core::CodedMatVecJob(data.x.transposed(), n, k, c), spec, config);
-
-  TrainResult result;
-  result.weights.assign(features, 0.0);
-  for (std::size_t it = 0; it < gd.iterations; ++it) {
-    const core::RoundResult fwd = forward.run_round(result.weights);
-    S2C2_CHECK(fwd.y.has_value(), "functional round must decode");
-    const auto resid = logistic_residual(data, *fwd.y);
-    const core::RoundResult bwd = backward.run_round(resid);
-    S2C2_CHECK(bwd.y.has_value(), "functional round must decode");
-
-    linalg::Vector grad = *bwd.y;
-    linalg::axpy(gd.l2_reg, result.weights, grad);
-    linalg::axpy(-gd.learning_rate, grad, result.weights);
-
-    result.total_latency += fwd.stats.latency() + bwd.stats.latency();
-    result.timeout_rounds += (fwd.stats.timeout_fired ? 1 : 0) +
-                             (bwd.stats.timeout_fired ? 1 : 0);
-    result.losses.push_back(logistic_loss(data, result.weights, gd.l2_reg));
-  }
-  return result;
 }
 
 }  // namespace s2c2::apps

@@ -1,54 +1,27 @@
-// Distributed logistic regression via coded gradient descent (paper §6.3).
-//
-// Gradient of the logistic loss needs two products per iteration:
+// Logistic-regression math (paper §6.3): loss, gradient and the residual
+// that links the two coded products of one gradient step,
 //     u = X·w            (forward margins)
-//     g = Xᵀ·(σ(u)−y̅)/m  (gradient)
-// Both operators are encoded once (X row-split, Xᵀ row-split) and each
-// iteration runs one coded round on each engine — so the whole gradient is
-// straggler-protected, not just the forward half.
+//     g = Xᵀ·(σ(u)−y̅)/m  (gradient).
+// harness::run_job runs the coded iteration for every strategy.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <span>
 
-#include "src/core/engine.h"
 #include "src/workload/datasets.h"
 
 namespace s2c2::apps {
 
-struct GdConfig {
-  std::size_t iterations = 30;
-  double learning_rate = 0.5;
-  double l2_reg = 1e-4;
-  std::size_t k = 0;  // MDS parameter; 0 = max(1, n - 2)
-};
-
-struct TrainResult {
-  linalg::Vector weights;
-  std::vector<double> losses;   // objective per iteration
-  double total_latency = 0.0;   // simulated seconds across both products
-  std::size_t timeout_rounds = 0;
-};
-
-/// Trains on `data` over the simulated cluster. `spec` is reused for both
-/// the X and Xᵀ engines (same worker fleet serves both halves of every
-/// iteration).
-[[nodiscard]] TrainResult train_logistic_regression(
-    const workload::Dataset& data, const core::ClusterSpec& spec,
-    const core::EngineConfig& config, const GdConfig& gd);
-
-/// Logistic objective (mean log-loss + L2) — exposed for tests.
+/// Logistic objective (mean log-loss + L2).
 [[nodiscard]] double logistic_loss(const workload::Dataset& data,
                                    const linalg::Vector& w, double l2_reg);
 
-/// Reference uncoded gradient step (tests compare coded vs direct).
+/// Uncoded gradient (the job driver's lockstep reference).
 [[nodiscard]] linalg::Vector logistic_gradient(const workload::Dataset& data,
                                                const linalg::Vector& w,
                                                double l2_reg);
 
 /// Derivative of the mean logistic loss w.r.t. the margins u = X·w:
-/// r_i = -y_i·σ(-y_i·u_i)/m. The backward coded product computes Xᵀ·r —
-/// shared with the job driver so every strategy runs the same update.
+/// r_i = -y_i·σ(-y_i·u_i)/m. The backward coded product computes Xᵀ·r.
 [[nodiscard]] linalg::Vector logistic_residual(const workload::Dataset& data,
                                                std::span<const double> margins);
 

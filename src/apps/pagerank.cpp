@@ -1,8 +1,5 @@
 #include "src/apps/pagerank.h"
 
-#include <cmath>
-
-#include "src/util/require.h"
 #include "src/workload/graphs.h"
 
 namespace s2c2::apps {
@@ -29,44 +26,6 @@ void pagerank_update(std::span<const double> t, std::span<const double> r,
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = damping * t[i] + base;
   }
-}
-
-PageRankResult coded_pagerank(const linalg::CsrMatrix& adj,
-                              const core::ClusterSpec& spec,
-                              const core::EngineConfig& config,
-                              const PageRankConfig& pr) {
-  const std::size_t nodes = adj.rows();
-  S2C2_REQUIRE(adj.cols() == nodes, "adjacency must be square");
-  const std::size_t n = spec.num_workers();
-  const std::size_t k =
-      pr.k != 0 ? pr.k : std::max<std::size_t>(1, n >= 3 ? n - 2 : n);
-  S2C2_REQUIRE(k <= n, "k must be <= n");
-
-  const linalg::CsrMatrix m = workload::link_matrix(adj);
-  const auto outdeg = out_degrees(adj);
-  core::CodedComputeEngine engine(
-      core::CodedMatVecJob(m, n, k, config.chunks_per_partition), spec,
-      config);
-
-  PageRankResult result;
-  result.ranks.assign(nodes, 1.0 / static_cast<double>(nodes));
-  linalg::Vector next(nodes);
-  for (std::size_t it = 0; it < pr.max_iterations; ++it) {
-    const core::RoundResult round = engine.run_round(result.ranks);
-    S2C2_CHECK(round.y.has_value(), "functional round must decode");
-    pagerank_update(*round.y, result.ranks, outdeg, pr.damping, next);
-    result.total_latency += round.stats.latency();
-    result.timeout_rounds += round.stats.timeout_fired ? 1 : 0;
-    ++result.iterations;
-
-    double delta = 0.0;
-    for (std::size_t i = 0; i < nodes; ++i) {
-      delta += std::abs(next[i] - result.ranks[i]);
-    }
-    result.ranks = next;
-    if (pr.tolerance > 0.0 && delta < pr.tolerance) break;
-  }
-  return result;
 }
 
 linalg::Vector pagerank_direct(const linalg::CsrMatrix& adj, double damping,

@@ -1,39 +1,20 @@
-// Distributed PageRank via coded power iteration (paper §6.3: "graph
-// ranking algorithms ... employ repeated matrix-vector multiplication").
-//
-// The link matrix M (column-stochastic on non-dangling columns) is encoded
-// once; every power-iteration step computes M·r through the coded cluster
-// and applies damping + the dangling-mass correction at the master.
+// PageRank math (paper §6.3: "graph ranking algorithms ... employ
+// repeated matrix-vector multiplication"). Each power-iteration step
+// computes t = M·r over the link matrix M (column-stochastic on
+// non-dangling columns) and applies damping plus the dangling-mass
+// correction at the master; harness::run_job runs the coded M·r for every
+// strategy.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "src/core/engine.h"
 #include "src/linalg/sparse.h"
 
 namespace s2c2::apps {
 
-struct PageRankConfig {
-  std::size_t max_iterations = 50;
-  double damping = 0.85;
-  double tolerance = 1e-9;  // L1 change; 0 disables early exit
-  std::size_t k = 0;        // MDS parameter; 0 = max(1, n - 2)
-};
-
-struct PageRankResult {
-  linalg::Vector ranks;
-  std::size_t iterations = 0;
-  double total_latency = 0.0;
-  std::size_t timeout_rounds = 0;
-};
-
-/// `adj` is the directed adjacency (row = out-links of that node).
-[[nodiscard]] PageRankResult coded_pagerank(const linalg::CsrMatrix& adj,
-                                            const core::ClusterSpec& spec,
-                                            const core::EngineConfig& config,
-                                            const PageRankConfig& pr);
-
-/// Uncoded reference implementation for correctness tests.
+/// Uncoded power iteration. `adj` is the directed adjacency (row =
+/// out-links of that node).
 [[nodiscard]] linalg::Vector pagerank_direct(const linalg::CsrMatrix& adj,
                                              double damping,
                                              std::size_t iterations);
@@ -42,8 +23,7 @@ struct PageRankResult {
 [[nodiscard]] std::vector<double> out_degrees(const linalg::CsrMatrix& adj);
 
 /// One damping + teleport + dangling-mass update from t = M·r (M the link
-/// matrix, r the previous ranks). Shared with the job driver so every
-/// strategy applies the identical master-side step.
+/// matrix, r the previous ranks).
 void pagerank_update(std::span<const double> t, std::span<const double> r,
                      std::span<const double> outdeg, double damping,
                      std::span<double> out);

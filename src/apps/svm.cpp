@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/require.h"
-
 namespace s2c2::apps {
 
 linalg::Vector hinge_residual(const workload::Dataset& data,
@@ -36,43 +34,6 @@ linalg::Vector hinge_subgradient(const workload::Dataset& data,
   auto grad = data.x.matvec_transposed(hinge_residual(data, margins));
   linalg::axpy(lambda, w, grad);
   return grad;
-}
-
-SvmResult train_svm(const workload::Dataset& data,
-                    const core::ClusterSpec& spec,
-                    const core::EngineConfig& config, const SvmConfig& svm) {
-  S2C2_REQUIRE(data.x.rows() == data.y.size(), "labels/rows mismatch");
-  const std::size_t n = spec.num_workers();
-  const std::size_t k =
-      svm.k != 0 ? svm.k : std::max<std::size_t>(1, n >= 3 ? n - 2 : n);
-  S2C2_REQUIRE(k <= n, "k must be <= n");
-  const std::size_t c = config.chunks_per_partition;
-
-  core::CodedComputeEngine forward(core::CodedMatVecJob(data.x, n, k, c),
-                                   spec, config);
-  core::CodedComputeEngine backward(
-      core::CodedMatVecJob(data.x.transposed(), n, k, c), spec, config);
-
-  SvmResult result;
-  result.weights.assign(data.x.cols(), 0.0);
-  for (std::size_t it = 0; it < svm.iterations; ++it) {
-    const core::RoundResult fwd = forward.run_round(result.weights);
-    S2C2_CHECK(fwd.y.has_value(), "functional round must decode");
-    const auto resid = hinge_residual(data, *fwd.y);
-    const core::RoundResult bwd = backward.run_round(resid);
-    S2C2_CHECK(bwd.y.has_value(), "functional round must decode");
-
-    linalg::Vector grad = *bwd.y;
-    linalg::axpy(svm.lambda, result.weights, grad);
-    linalg::axpy(-svm.learning_rate, grad, result.weights);
-
-    result.total_latency += fwd.stats.latency() + bwd.stats.latency();
-    result.timeout_rounds += (fwd.stats.timeout_fired ? 1 : 0) +
-                             (bwd.stats.timeout_fired ? 1 : 0);
-    result.objectives.push_back(
-        hinge_objective(data, result.weights, svm.lambda));
-  }
-  return result;
 }
 
 }  // namespace s2c2::apps

@@ -1,35 +1,15 @@
-// Distributed linear SVM (hinge loss) via coded subgradient descent —
-// the paper's cloud workload (§7.2 runs SVM for Figs 8-11, 13).
-//
-// Subgradient of  (1/m) Σ max(0, 1 - y_i·w·x_i) + (λ/2)|w|²  needs the
-// same two coded products per iteration as logistic regression.
+// Linear-SVM (hinge loss) math — the paper's cloud workload (§7.2 runs
+// SVM for Figs 8-11, 13). The subgradient of
+//     (1/m) Σ max(0, 1 - y_i·w·x_i) + (λ/2)|w|²
+// needs the same two coded products per iteration as logistic
+// regression; harness::run_job runs them for every strategy.
 #pragma once
 
-#include <vector>
+#include <span>
 
-#include "src/core/engine.h"
 #include "src/workload/datasets.h"
 
 namespace s2c2::apps {
-
-struct SvmConfig {
-  std::size_t iterations = 30;
-  double learning_rate = 0.2;
-  double lambda = 1e-3;
-  std::size_t k = 0;  // MDS parameter; 0 = max(1, n - 2)
-};
-
-struct SvmResult {
-  linalg::Vector weights;
-  std::vector<double> objectives;
-  double total_latency = 0.0;
-  std::size_t timeout_rounds = 0;
-};
-
-[[nodiscard]] SvmResult train_svm(const workload::Dataset& data,
-                                  const core::ClusterSpec& spec,
-                                  const core::EngineConfig& config,
-                                  const SvmConfig& svm);
 
 [[nodiscard]] double hinge_objective(const workload::Dataset& data,
                                      const linalg::Vector& w, double lambda);
@@ -39,7 +19,7 @@ struct SvmResult {
                                                double lambda);
 
 /// Hinge-loss subgradient w.r.t. the margins u = X·w: r_i = -y_i/m inside
-/// the margin, else 0. Shared with the job driver's strategy-generic loop.
+/// the margin, else 0.
 [[nodiscard]] linalg::Vector hinge_residual(const workload::Dataset& data,
                                             std::span<const double> margins);
 

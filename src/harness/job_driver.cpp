@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/apps/graph_filter.h"
 #include "src/apps/logistic_regression.h"
 #include "src/apps/pagerank.h"
 #include "src/apps/svm.h"
@@ -66,6 +65,14 @@ constexpr std::size_t kFilterNodes = 480;
 /// Contraction factor of the graph-filter fixed point v <- gamma·L·v
 /// (gamma = kFilterAlpha / ||L||_inf), guaranteeing geometric convergence.
 constexpr double kFilterAlpha = 0.4;
+
+/// Master-side constants of the app updates: GD step sizes and
+/// regularizers, PageRank damping.
+constexpr double kLogRegLearningRate = 0.5;
+constexpr double kLogRegL2 = 1e-4;
+constexpr double kSvmLearningRate = 0.2;
+constexpr double kSvmLambda = 1e-3;
+constexpr double kPageRankDamping = 0.85;
 
 /// One straggler-protected matrix-vector product under a strategy: the
 /// latency comes from a simulated engine round, the numeric product from
@@ -312,9 +319,8 @@ void run_gd_job(const JobConfig& config, const core::ClusterSpec& spec,
                                           1.5, 1.2)
           : workload::make_classification(kGdSamples, kGdFeatures, op_rng,
                                           3.0, 0.8);
-  const double lr =
-      svm ? apps::SvmConfig{}.learning_rate : apps::GdConfig{}.learning_rate;
-  const double reg = svm ? apps::SvmConfig{}.lambda : apps::GdConfig{}.l2_reg;
+  const double lr = svm ? kSvmLearningRate : kLogRegLearningRate;
+  const double reg = svm ? kSvmLambda : kLogRegL2;
 
   const linalg::Matrix xt = data.x.transposed();
   const auto fwd = make_channel(config, spec, &data.x, nullptr,
@@ -365,7 +371,6 @@ void run_pagerank_job(const JobConfig& config, const core::ClusterSpec& spec,
       workload::power_law_digraph(kPageRankNodes, 5, op_rng);
   const linalg::CsrMatrix link = workload::link_matrix(adj);
   const std::vector<double> outdeg = apps::out_degrees(adj);
-  const double damping = apps::PageRankConfig{}.damping;
 
   const auto ch =
       make_channel(config, spec, nullptr, &link, operator_salt(config));
@@ -377,10 +382,11 @@ void run_pagerank_job(const JobConfig& config, const core::ClusterSpec& spec,
   RoundLog log;
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
     log.record(ch->multiply(ranks, t));
-    apps::pagerank_update(t, ranks, outdeg, damping, next);
+    apps::pagerank_update(t, ranks, outdeg, kPageRankDamping, next);
 
     link.matvec_into(ranks_ref, t_ref);
-    apps::pagerank_update(t_ref, ranks_ref, outdeg, damping, next_ref);
+    apps::pagerank_update(t_ref, ranks_ref, outdeg, kPageRankDamping,
+                          next_ref);
     ranks_ref = next_ref;
 
     double delta = 0.0;
@@ -569,6 +575,14 @@ JobResult identity_result(const JobConfig& config) {
 JobResult run_job(const JobConfig& config) {
   if (config.workers < 2) {
     throw std::invalid_argument("job driver needs >= 2 workers");
+  }
+  // Checked here for every strategy: the uncoded baselines never read k,
+  // and the coded ones would fail deep in encode.
+  if (config.effective_k() > config.workers) {
+    throw std::invalid_argument("job driver needs k <= workers (k = " +
+                                std::to_string(config.effective_k()) +
+                                ", workers = " +
+                                std::to_string(config.workers) + ")");
   }
   // Validate the strategy axis up front: the unified StrategyKind makes
   // every kind type-legal here, but only the driver strategies (the

@@ -97,7 +97,7 @@ struct JobConfig {
   double tolerance = 1e-4;
 
   [[nodiscard]] std::size_t effective_k() const {
-    return k != 0 ? k : (workers >= 3 ? workers - 2 : workers);
+    return resolve_k(workers, k);
   }
 
   /// The equivalent scenario config for trace/cluster/predictor reuse:

@@ -114,6 +114,14 @@ enum class PredictorKind {
 [[nodiscard]] bool trace_profile_is_robustness(TraceProfile t);
 [[nodiscard]] std::vector<PredictorKind> all_predictors();
 
+/// The MDS parameter a harness config's `k` field stands for: `k` itself,
+/// or for k = 0 the default n - 2 (n when n < 3). Every config's
+/// effective_k() reads this one rule.
+[[nodiscard]] constexpr std::size_t resolve_k(std::size_t workers,
+                                              std::size_t k) {
+  return k != 0 ? k : (workers >= 3 ? workers - 2 : workers);
+}
+
 /// A speed source built for one (workload, trace) column. `predictor` is
 /// null for PredictorKind::kOracle (engines then read the true trace speed
 /// via their oracle flag); the learned predictors are trained per column
@@ -162,7 +170,7 @@ struct ScenarioConfig {
   std::size_t inner_jobs = 1;
 
   [[nodiscard]] std::size_t effective_k() const {
-    return k != 0 ? k : (workers >= 3 ? workers - 2 : workers);
+    return resolve_k(workers, k);
   }
 };
 

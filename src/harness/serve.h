@@ -96,7 +96,7 @@ struct ServeConfig {
   std::size_t inner_jobs = 1;
 
   [[nodiscard]] std::size_t effective_k() const {
-    return k != 0 ? k : (workers >= 3 ? workers - 2 : workers);
+    return resolve_k(workers, k);
   }
 };
 

@@ -1,9 +1,9 @@
 // End-to-end integration: generated cloud traces -> trained LSTM predictor
-// -> S2C2 engine -> application, asserting both numerical correctness and
-// the paper's qualitative latency claims.
+// -> S2C2 engine, asserting both numerical correctness and the paper's
+// qualitative latency claims. Whole application jobs run through
+// harness::run_job (apps_test, job_driver_test).
 #include <gtest/gtest.h>
 
-#include "src/apps/svm.h"
 #include "src/core/engine.h"
 #include "src/predict/evaluation.h"
 #include "src/predict/lstm.h"
@@ -81,27 +81,6 @@ TEST(Integration, S2C2BeatsMdsOnCloudTracesEndToEnd) {
   const double s2c2 = run(core::StrategyKind::kS2C2);
   // Paper Fig 8: (10,7)-S2C2 beats (10,7)-MDS by ~39% in the stable cloud.
   EXPECT_GT((mds - s2c2) / mds, 0.2);
-}
-
-TEST(Integration, SvmTrainsOnVolatileClusterWithRecoveries) {
-  util::Rng rng(13);
-  const auto series = workload::cloud_speed_corpus(
-      8, 120, workload::volatile_cloud_config(), rng);
-  core::ClusterSpec spec;
-  spec.traces = workload::traces_from_series(series, 0.5);
-  spec.worker_flops = 1e7;
-
-  util::Rng drng(14);
-  const auto data = workload::make_classification(160, 12, drng, 4.0, 0.5);
-  core::EngineConfig cfg;
-  cfg.strategy = core::StrategyKind::kS2C2;
-  cfg.chunks_per_partition = 8;
-  apps::SvmConfig svm;
-  svm.iterations = 25;
-  svm.k = 5;
-  const auto result = apps::train_svm(data, spec, cfg, svm);
-  // Correct optimization despite timeouts/reassignments along the way.
-  EXPECT_LT(result.objectives.back(), result.objectives.front());
 }
 
 }  // namespace

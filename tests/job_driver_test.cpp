@@ -260,4 +260,21 @@ TEST(JobDriver, RejectsNonDriverStrategyUpFront) {
   EXPECT_THROW((void)harness::run_job(cfg), std::invalid_argument);
 }
 
+TEST(JobDriver, RejectsKAboveWorkersForEveryStrategy) {
+  // The uncoded baselines never read k, so without the up-front check they
+  // would run and ignore it while the coded ones fail inside encode.
+  for (const StrategyKind s :
+       {StrategyKind::kS2C2, StrategyKind::kReplication}) {
+    JobConfig cfg = job_at(JobApp::kPageRank, s,
+                           TraceProfile::kControlledStragglers, 2);
+    cfg.workers = 3;
+    cfg.stragglers = 1;
+    cfg.k = 5;
+    EXPECT_THROW((void)run_job(cfg), std::invalid_argument)
+        << core::strategy_name(s);
+    cfg.k = 3;  // k == workers is the largest legal code
+    EXPECT_FALSE(run_job(cfg).failed) << core::strategy_name(s);
+  }
+}
+
 }  // namespace s2c2::harness
