@@ -235,11 +235,7 @@ Options parse(int argc, char** argv) {
     else if (flag == "--batch") o.batch = count();
     else if (flag == "--serve-json") o.serve_json = value(i);
     else if (flag == "--jobs") o.runner.jobs = threads();
-    else if (flag == "--inner-jobs") {
-      const std::size_t n = threads();
-      o.runner.inner_jobs = n;
-      o.config.inner_jobs = n;  // single-cell and serve modes read config
-    }
+    else if (flag == "--inner-jobs") o.config.inner_jobs = threads();
     else if (flag == "--axis") o.axis_specs.push_back(value(i));
     else if (flag == "--engine" || flag == "--strategy")
       o.engine = parse_engine(value(i));

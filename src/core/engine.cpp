@@ -64,22 +64,22 @@ CodedComputeEngine::CodedComputeEngine(
 }
 
 void CodedComputeEngine::decode_subsets(
-    const RoundLedger& ledger,
+    const RoundState& round,
     std::vector<std::vector<std::size_t>>& out) const {
   // The k smallest responding worker ids per chunk — final_chunk_workers
   // is sorted, matching the functional decoder's arrival order, so
   // cost-model cache keys and numeric cache keys are the same.
   const std::size_t k = job_.k();
-  out.resize(ledger.final_chunk_workers.size());
+  out.resize(round.final_chunk_workers.size());
   for (std::size_t c = 0; c < out.size(); ++c) {
-    out[c].assign(ledger.final_chunk_workers[c].begin(),
-                  ledger.final_chunk_workers[c].begin() +
+    out[c].assign(round.final_chunk_workers[c].begin(),
+                  round.final_chunk_workers[c].begin() +
                       static_cast<std::ptrdiff_t>(k));
   }
 }
 
 const linalg::Matrix& CodedComputeEngine::run_verified_decode(
-    const RoundLedger& ledger, std::size_t width,
+    const RoundState& round, std::size_t width,
     std::span<const double> x_panel) {
   // Worker compute lands directly in arena-staged decoder slots: no
   // per-chunk vector, no copy into the decoder. Insertion order matches
@@ -100,11 +100,11 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
   // serial kernel's chain, so the decoded bits are identical at any
   // inner_jobs and any run split.
   decoder_.reset(width);
-  const std::size_t chunks = ledger.alloc.chunks_per_partition;
+  const std::size_t chunks = round.alloc.chunks_per_partition;
   chunk_tasks_.clear();
   for (std::size_t w = 0; w < spec_.num_workers(); ++w) {
-    if (ledger.used[w]) {
-      const sched::ChunkRange& r = ledger.alloc.per_worker[w];
+    if (round.used[w]) {
+      const sched::ChunkRange& r = round.alloc.per_worker[w];
       for (std::size_t i = 0; i < r.count; ++i) {
         const std::size_t c = (r.begin + i) % chunks;
         const std::span<double> slot = decoder_.stage_chunk(w, c);
@@ -119,7 +119,7 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
         }
         chunk_tasks_.push_back({w, c, 1, slot});
       }
-      for (std::size_t c : ledger.extra_chunks[w]) {
+      for (std::size_t c : round.extra_chunks[w]) {
         const std::span<double> slot = decoder_.stage_chunk(w, c);
         if (!slot.empty()) {  // reassigned work can duplicate the original
           chunk_tasks_.push_back({w, c, 1, slot});
@@ -145,8 +145,8 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
     // the surviving arrival order — and with it the decode subsets and
     // cache keys — matches the honest decode exactly.
     std::vector<std::size_t> expected;
-    for (std::size_t c = 0; c < ledger.byzantine_chunk_workers.size(); ++c) {
-      for (std::size_t w : ledger.byzantine_chunk_workers[c]) {
+    for (std::size_t c = 0; c < round.byzantine_chunk_workers.size(); ++c) {
+      for (std::size_t w : round.byzantine_chunk_workers[c]) {
         const std::span<double> slot = decoder_.stage_chunk(w, c);
         job_.compute_chunk_into(w, c, x_panel, width, slot);
         corrupt_values(slot, spec_.byzantine, w, c);
@@ -168,17 +168,17 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
 }
 
 void CodedComputeEngine::decode_product(RoundResult& result,
-                                        const RoundLedger& ledger,
+                                        const RoundState& round,
                                         std::span<const double> x) {
   S2C2_REQUIRE(x.size() == job_.data_cols(), "input vector size mismatch");
   result.y_block.reset();
   result.hessian.reset();
   if (!result.y) result.y.emplace();
-  job_.trim_into(run_verified_decode(ledger, 1, x), *result.y);
+  job_.trim_into(run_verified_decode(round, 1, x), *result.y);
 }
 
 void CodedComputeEngine::decode_product_block(RoundResult& result,
-                                              const RoundLedger& ledger,
+                                              const RoundState& round,
                                               const linalg::Matrix& x_block) {
   S2C2_REQUIRE(x_block.rows() == job_.data_cols(),
                "input panel row count mismatch");
@@ -186,7 +186,7 @@ void CodedComputeEngine::decode_product_block(RoundResult& result,
   result.hessian.reset();
   if (!result.y_block) result.y_block.emplace();
   const linalg::Matrix& decoded =
-      run_verified_decode(ledger, x_block.cols(), x_block.data());
+      run_verified_decode(round, x_block.cols(), x_block.data());
   job_.trim_block_into(decoded, *result.y_block);
 }
 

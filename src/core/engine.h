@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/core/coded_job.h"
@@ -75,21 +74,13 @@ class CodedComputeEngine : public RoundExecutor {
   [[nodiscard]] double chunk_flops() const override {
     return job_.chunk_flops();
   }
-  [[nodiscard]] bool recovery_survives_death() const override { return true; }
   [[nodiscard]] const char* quorum_failure_error() const override {
     return "cluster failure: fewer than k workers can respond";
-  }
-  [[nodiscard]] std::string recovery_infeasible_error(
-      const char* what) const override {
-    return std::string("cluster failure: recovery infeasible: ") + what;
-  }
-  [[nodiscard]] const char* recovery_death_error() const override {
-    return "cluster failure during recovery";  // unreachable: cascades
   }
   [[nodiscard]] coding::DecodeContext& decode_context() override {
     return decode_ctx_;
   }
-  void decode_subsets(const RoundLedger& ledger,
+  void decode_subsets(const RoundState& round,
                       std::vector<std::vector<std::size_t>>& out)
       const override;
   [[nodiscard]] std::size_t decode_values_per_chunk() const override {
@@ -103,9 +94,9 @@ class CodedComputeEngine : public RoundExecutor {
       const linalg::Matrix& x_block) const override {
     return job_.functional() && !x_block.empty();
   }
-  void decode_product(RoundResult& result, const RoundLedger& ledger,
+  void decode_product(RoundResult& result, const RoundState& round,
                       std::span<const double> x) override;
-  void decode_product_block(RoundResult& result, const RoundLedger& ledger,
+  void decode_product_block(RoundResult& result, const RoundState& round,
                             const linalg::Matrix& x_block) override;
 
  private:
@@ -117,7 +108,7 @@ class CodedComputeEngine : public RoundExecutor {
   /// decoded_scratch_. The returned reference is valid until the next
   /// round's decode.
   [[nodiscard]] const linalg::Matrix& run_verified_decode(
-      const RoundLedger& ledger, std::size_t width,
+      const RoundState& round, std::size_t width,
       std::span<const double> x_panel);
 
   /// One staged run of chunk products awaiting compute: chunks

@@ -124,21 +124,21 @@ std::size_t LtCodedEngine::collection_count(
 }
 
 void LtCodedEngine::decode_subsets(
-    const RoundLedger& ledger,
+    const RoundState& round,
     std::vector<std::vector<std::size_t>>& out) const {
   // Every chunk decodes from the same accumulated-symbol system: the full
   // sorted responder set, so the round charges exactly one grouped system.
-  out = ledger.final_chunk_workers;
+  out = round.final_chunk_workers;
 }
 
-void LtCodedEngine::decode_into(RoundResult& result, const RoundLedger& ledger,
+void LtCodedEngine::decode_into(RoundResult& result, const RoundState& round,
                                 std::span<const double> x,
                                 const linalg::Matrix* x_block,
                                 std::size_t width) {
   const std::size_t c = chunks_per_partition();
   const std::size_t r = rows_per_chunk_;
   const std::size_t v = r * width;  // values per symbol
-  const std::vector<std::size_t>& subset = ledger.final_chunk_workers[0];
+  const std::vector<std::size_t>& subset = round.final_chunk_workers[0];
 
   std::vector<double> symbols;
   symbols.reserve(subset.size() * c * v);
@@ -177,18 +177,18 @@ void LtCodedEngine::decode_into(RoundResult& result, const RoundLedger& ledger,
 }
 
 void LtCodedEngine::decode_product(RoundResult& result,
-                                   const RoundLedger& ledger,
+                                   const RoundState& round,
                                    std::span<const double> x) {
   S2C2_REQUIRE(x.size() == data_cols_, "input vector size mismatch");
-  decode_into(result, ledger, x, nullptr, 1);
+  decode_into(result, round, x, nullptr, 1);
 }
 
 void LtCodedEngine::decode_product_block(RoundResult& result,
-                                         const RoundLedger& ledger,
+                                         const RoundState& round,
                                          const linalg::Matrix& x_block) {
   S2C2_REQUIRE(x_block.rows() == data_cols_,
                "input panel row count mismatch");
-  decode_into(result, ledger, {}, &x_block, x_block.cols());
+  decode_into(result, round, {}, &x_block, x_block.cols());
 }
 
 }  // namespace s2c2::core

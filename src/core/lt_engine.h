@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/coding/decode_context.h"
@@ -94,22 +93,14 @@ class LtCodedEngine final : public RoundExecutor {
   [[nodiscard]] std::size_t collection_count(
       std::span<const std::size_t> by_response,
       std::size_t finite) const override;
-  [[nodiscard]] bool recovery_survives_death() const override { return true; }
   [[nodiscard]] const char* quorum_failure_error() const override {
     return "cluster failure: too few responders to reach the LT decode "
            "threshold";
   }
-  [[nodiscard]] std::string recovery_infeasible_error(
-      const char* what) const override {
-    return std::string("cluster failure: LT recovery infeasible: ") + what;
-  }
-  [[nodiscard]] const char* recovery_death_error() const override {
-    return "cluster failure during LT recovery";  // unreachable: no recovery
-  }
   [[nodiscard]] coding::DecodeContext& decode_context() override {
     return decode_ctx_;
   }
-  void decode_subsets(const RoundLedger& ledger,
+  void decode_subsets(const RoundState& round,
                       std::vector<std::vector<std::size_t>>& out)
       const override;
   [[nodiscard]] std::size_t decode_values_per_chunk() const override {
@@ -123,14 +114,14 @@ class LtCodedEngine final : public RoundExecutor {
       const linalg::Matrix& x_block) const override {
     return !blocks_.empty() && !x_block.empty();
   }
-  void decode_product(RoundResult& result, const RoundLedger& ledger,
+  void decode_product(RoundResult& result, const RoundState& round,
                       std::span<const double> x) override;
-  void decode_product_block(RoundResult& result, const RoundLedger& ledger,
+  void decode_product_block(RoundResult& result, const RoundState& round,
                             const linalg::Matrix& x_block) override;
 
  private:
   /// Decodes the used responders' symbols into result (vector or block).
-  void decode_into(RoundResult& result, const RoundLedger& ledger,
+  void decode_into(RoundResult& result, const RoundState& round,
                    std::span<const double> x, const linalg::Matrix* x_block,
                    std::size_t width);
 

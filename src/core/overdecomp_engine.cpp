@@ -48,15 +48,6 @@ OverDecompositionEngine::OverDecompositionEngine(
   }
 }
 
-RoundResult OverDecompositionEngine::run_round(std::span<const double> x) {
-  return run_round_impl(x, nullptr, 1);
-}
-
-RoundResult OverDecompositionEngine::run_wide_round(
-    const linalg::Matrix& x_block, std::size_t width) {
-  return run_round_impl({}, &x_block, width);
-}
-
 RoundResult OverDecompositionEngine::run_round_impl(
     std::span<const double> x, const linalg::Matrix* x_block,
     std::size_t width) {
@@ -70,7 +61,7 @@ RoundResult OverDecompositionEngine::run_round_impl(
         "responses");
   }
   const std::size_t n = spec_.num_workers();
-  const sim::Time t0 = now_;
+  const sim::Time t0 = now();
   // Per-round charges scale by the RHS block width; partition_bytes does
   // not (it is stored data, moved only on migration).
   const double task_work = matvec_flops(partition_rows_, data_cols_) *
@@ -205,22 +196,7 @@ RoundResult OverDecompositionEngine::run_round_impl(
   result.stats.end = end;
   count_prediction_round(result.predicted_speeds, result.observed_speeds);
 
-  // Uncoded execution computes the exact product by construction: forward
-  // it so functional loops go through the same code path as the coded
-  // engines (mirrors the PR 3 run_rounds fix). Block rounds forward the
-  // whole panel product in one matmat call.
-  if (direct_) {
-    if (x_block != nullptr && !x_block->empty()) {
-      result.y_block = direct_(*x_block);
-    } else if (!x.empty()) {
-      const linalg::Matrix panel(x.size(), 1, {x.begin(), x.end()});
-      const linalg::Matrix y = direct_(panel);
-      result.y = linalg::Vector(y.data().begin(), y.data().end());
-    }
-  }
-
-  now_ = end;
-  ++rounds_run_;
+  forward_direct_product(direct_, x, x_block, result);
   return result;
 }
 

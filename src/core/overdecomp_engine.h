@@ -13,7 +13,7 @@
 //
 // A StrategyEngine with bespoke dynamics: predictions drive the
 // rebalancing but there is no coding and no §4.3 recovery window, so this
-// engine implements run_round directly instead of deriving from
+// engine implements run_round_impl directly instead of deriving from
 // RoundExecutor. In functional mode it forwards the exact product through
 // the DirectMultiply closure. Construct directly, or through make_engine
 // in engine_factory.h.
@@ -44,10 +44,6 @@ class OverDecompositionEngine final : public StrategyEngine {
                               nullptr,
                           DirectMultiply direct = {});
 
-  /// One rebalanced iteration; with a functional operator and a non-empty
-  /// x the exact product is forwarded in RoundResult::y.
-  RoundResult run_round(std::span<const double> x = {}) override;
-
   /// Bytes of partition data currently stored at `worker` (grows with
   /// migrations — the storage-cost axis of the comparison).
   [[nodiscard]] std::size_t storage_bytes(std::size_t worker) const;
@@ -55,18 +51,14 @@ class OverDecompositionEngine final : public StrategyEngine {
     return migrations_;
   }
 
- protected:
-  /// Block round: task work, input broadcast, and result transfers scale
-  /// by b (partition migrations do not — stored data); functional mode
-  /// forwards the exact block product direct_(X) into RoundResult::y_block
-  /// in one matmat call.
-  RoundResult run_wide_round(const linalg::Matrix& x_block,
-                             std::size_t width) override;
-
  private:
+  /// One rebalanced iteration. Task work, input broadcast, and result
+  /// transfers scale by the block width (partition migrations do not —
+  /// stored data); with a functional operator the exact product is
+  /// forwarded.
   [[nodiscard]] RoundResult run_round_impl(std::span<const double> x,
                                            const linalg::Matrix* x_block,
-                                           std::size_t width);
+                                           std::size_t width) override;
 
   std::size_t data_rows_;
   std::size_t data_cols_;

@@ -53,7 +53,7 @@ PolyCodedEngine::PolyCodedEngine(
 }
 
 void PolyCodedEngine::decode_subsets(
-    const RoundLedger& ledger,
+    const RoundState& round,
     std::vector<std::vector<std::size_t>>& out) const {
   // Subsets mirror the functional decoder's keys: the a² smallest
   // responding worker ids per chunk. Invert the (rare) reassigned extras
@@ -61,11 +61,11 @@ void PolyCodedEngine::decode_subsets(
   // per chunk.
   const std::size_t n = spec_.num_workers();
   const std::size_t m = code_.required_responses();
-  const std::size_t c = ledger.alloc.chunks_per_partition;
-  const auto alloc_chunk_workers = sched::chunk_workers(ledger.alloc);
+  const std::size_t c = round.alloc.chunks_per_partition;
+  const auto alloc_chunk_workers = sched::chunk_workers(round.alloc);
   std::vector<std::vector<std::size_t>> extra_workers(c);
   for (std::size_t w = 0; w < n; ++w) {
-    for (std::size_t ch : ledger.extra_chunks[w]) {
+    for (std::size_t ch : round.extra_chunks[w]) {
       extra_workers[ch].push_back(w);
     }
   }
@@ -73,7 +73,7 @@ void PolyCodedEngine::decode_subsets(
   for (std::size_t ch = 0; ch < c; ++ch) {
     std::vector<std::size_t>& responders = out[ch];
     for (std::size_t w : alloc_chunk_workers[ch]) {
-      if (ledger.used[w]) responders.push_back(w);
+      if (round.used[w]) responders.push_back(w);
     }
     responders.insert(responders.end(), extra_workers[ch].begin(),
                       extra_workers[ch].end());
@@ -85,22 +85,22 @@ void PolyCodedEngine::decode_subsets(
 }
 
 void PolyCodedEngine::decode_product(RoundResult& result,
-                                     const RoundLedger& ledger,
+                                     const RoundState& round,
                                      std::span<const double> x) {
   S2C2_REQUIRE(x.size() == n_rows_, "x size mismatch");
   coding::PolyCode::Decoder decoder(code_, out_rows_,
-                                    ledger.alloc.chunks_per_partition,
+                                    round.alloc.chunks_per_partition,
                                     out_cols_, &decode_ctx_);
   const std::size_t rpc = rows_per_chunk_;
   for (std::size_t w = 0; w < spec_.num_workers(); ++w) {
-    if (!ledger.used[w]) continue;
-    for (std::size_t ch : ledger.alloc.chunks_of(w)) {
+    if (!round.used[w]) continue;
+    for (std::size_t ch : round.alloc.chunks_of(w)) {
       decoder.add_chunk_result(
           w, ch,
           coding::PolyCode::compute_rows(operands_[w], x, ch * rpc,
                                          (ch + 1) * rpc));
     }
-    for (std::size_t ch : ledger.extra_chunks[w]) {
+    for (std::size_t ch : round.extra_chunks[w]) {
       decoder.add_chunk_result(
           w, ch,
           coding::PolyCode::compute_rows(operands_[w], x, ch * rpc,

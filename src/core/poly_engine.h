@@ -86,7 +86,7 @@ class PolyCodedEngine final : public RoundExecutor {
   [[nodiscard]] coding::DecodeContext& decode_context() override {
     return decode_ctx_;
   }
-  void decode_subsets(const RoundLedger& ledger,
+  void decode_subsets(const RoundState& round,
                       std::vector<std::vector<std::size_t>>& out)
       const override;
   [[nodiscard]] std::size_t decode_values_per_chunk() const override {
@@ -96,7 +96,7 @@ class PolyCodedEngine final : public RoundExecutor {
       std::span<const double> x) const override {
     return !operands_.empty() && !x.empty();
   }
-  void decode_product(RoundResult& result, const RoundLedger& ledger,
+  void decode_product(RoundResult& result, const RoundState& round,
                       std::span<const double> x) override;
 
  private:

@@ -49,15 +49,6 @@ ReplicationEngine::ReplicationEngine(std::size_t data_rows,
   }
 }
 
-RoundResult ReplicationEngine::run_round(std::span<const double> x) {
-  return run_round_impl(x, nullptr, 1);
-}
-
-RoundResult ReplicationEngine::run_wide_round(const linalg::Matrix& x_block,
-                                              std::size_t width) {
-  return run_round_impl({}, &x_block, width);
-}
-
 RoundResult ReplicationEngine::run_round_impl(std::span<const double> x,
                                               const linalg::Matrix* x_block,
                                               std::size_t width) {
@@ -70,7 +61,7 @@ RoundResult ReplicationEngine::run_round_impl(std::span<const double> x,
         "cluster failure: replication cannot verify byzantine responses");
   }
   const std::size_t n = spec_.num_workers();
-  const sim::Time t0 = now_;
+  const sim::Time t0 = now();
   const std::size_t task_rows = (data_rows_ + n - 1) / n;
   // Per-round charges scale by the RHS block width; partition_bytes does
   // not (it is stored data, moved only on non-holder speculation).
@@ -195,22 +186,7 @@ RoundResult ReplicationEngine::run_round_impl(std::span<const double> x,
   result.stats.coverage = end;  // uncoded: no master decode after collection
   result.stats.end = end;
 
-  // Uncoded execution computes the exact product by construction: forward
-  // it so functional loops go through the same code path as the coded
-  // engines (mirrors the PR 3 run_rounds fix). Block rounds forward the
-  // whole panel product in one matmat call.
-  if (direct_) {
-    if (x_block != nullptr && !x_block->empty()) {
-      result.y_block = direct_(*x_block);
-    } else if (!x.empty()) {
-      const linalg::Matrix panel(x.size(), 1, {x.begin(), x.end()});
-      const linalg::Matrix y = direct_(panel);
-      result.y = linalg::Vector(y.data().begin(), y.data().end());
-    }
-  }
-
-  now_ = end;
-  ++rounds_run_;
+  forward_direct_product(direct_, x, x_block, result);
   return result;
 }
 

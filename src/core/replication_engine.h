@@ -14,11 +14,12 @@
 //
 // A StrategyEngine with bespoke dynamics: no coding, no predictions, no
 // §4.3 recovery window — the speculation race IS the collection policy,
-// so this engine implements run_round directly instead of deriving from
-// RoundExecutor. In functional mode it forwards the exact product through
-// the DirectMultiply closure (uncoded execution computes the true result
-// by construction), so convergence loops drive it exactly like the coded
-// engines. Construct directly, or through make_engine in engine_factory.h.
+// so this engine implements run_round_impl directly instead of deriving
+// from RoundExecutor. In functional mode it forwards the exact product
+// through the DirectMultiply closure (uncoded execution computes the true
+// result by construction), so convergence loops drive it exactly like the
+// coded engines. Construct directly, or through make_engine in
+// engine_factory.h.
 #pragma once
 
 #include <cstdint>
@@ -54,28 +55,20 @@ class ReplicationEngine final : public StrategyEngine {
                     ClusterSpec spec, ReplicationConfig config,
                     DirectMultiply direct = {});
 
-  /// One iteration. Latency comes from the simulated speculation race;
-  /// with a functional operator and a non-empty x the exact product is
-  /// forwarded in RoundResult::y (no decode — the result is uncoded).
-  RoundResult run_round(std::span<const double> x = {}) override;
-
   /// Replica holders of each partition (first entry = primary).
   [[nodiscard]] const std::vector<std::vector<std::size_t>>& placement()
       const noexcept {
     return placement_;
   }
 
- protected:
-  /// Block round: task work, input broadcast, and result transfers scale
-  /// by b; in functional mode the exact block product direct_(X) lands in
-  /// RoundResult::y_block in one matmat — not a column-at-a-time loop.
-  RoundResult run_wide_round(const linalg::Matrix& x_block,
-                             std::size_t width) override;
-
  private:
+  /// One iteration. Latency comes from the simulated speculation race;
+  /// task work, input broadcast, and result transfers scale by the block
+  /// width. With a functional operator the exact product is forwarded (no
+  /// decode — the result is uncoded).
   [[nodiscard]] RoundResult run_round_impl(std::span<const double> x,
                                            const linalg::Matrix* x_block,
-                                           std::size_t width);
+                                           std::size_t width) override;
 
   std::size_t data_rows_;
   std::size_t data_cols_;

@@ -3,16 +3,17 @@
 //   predict speeds → allocate chunks → dispatch (broadcast + compute +
 //   response transfer over the speed traces) → collect (fastest-quorum
 //   for the conventional strategies, the §4.3 timeout window for the S2C2
-//   family) → wave-based chunk-reassignment recovery → decode-cost charge
-//   through the strategy's coding::DecodeContext → accounting + predictor
-//   observations → functional decode.
+//   family) → wave-based chunk-reassignment recovery → Byzantine verify →
+//   decode-cost charge through the strategy's coding::DecodeContext →
+//   accounting → predictor observations → health pulses → functional
+//   decode.
 //
-// Before PR 5 this loop existed twice — engine.cpp and poly_engine.cpp —
-// and every timeout/collection fix had to be mirrored by hand (PR 2). Now
-// RoundExecutor::run_round is the only copy; concrete coded engines
-// (CodedComputeEngine, PolyCodedEngine, and future rateless/gradient-
-// coding engines) supply only the strategy-specific ingredients through
-// the protected hooks: cost geometry, allocation (defaulted by
+// RoundExecutor::run_round_impl is the only copy of that loop. It calls
+// one private phase method per step, in the order above, and the phases
+// share one RoundState. Concrete coded engines (CodedComputeEngine,
+// PolyCodedEngine, LtCodedEngine, and AdaptiveGradientEngine through
+// CodedComputeEngine) supply only the strategy-specific ingredients
+// through the protected hooks: cost geometry, allocation (defaulted by
 // StrategyKind), decode subsets/charging, and the functional decode.
 //
 // Collection semantics are derived from kind(): strategy_uses_recovery
@@ -46,10 +47,6 @@ namespace s2c2::core {
 
 class RoundExecutor : public StrategyEngine {
  public:
-  /// One coded round through the shared lifecycle. Hooks are called in
-  /// lifecycle order; the engine's private clock advances to stats.end.
-  RoundResult run_round(std::span<const double> x = {}) final;
-
   [[nodiscard]] const telemetry::HealthMonitor* health_monitor()
       const override {
     return &health_;
@@ -63,13 +60,6 @@ class RoundExecutor : public StrategyEngine {
                 std::size_t chunks_per_partition,
                 bool health_informed = false);
 
-  /// The same lifecycle over a cols x b RHS panel (b > 1): dispatch ships
-  /// b columns, every chunk response carries b values per row, compute and
-  /// decode charges scale by b, and one cached decode factorization per
-  /// responder set serves all b columns.
-  RoundResult run_wide_round(const linalg::Matrix& x_block,
-                             std::size_t width) final;
-
   struct WorkerTiming {
     std::size_t assigned_chunks = 0;
     sim::Time x_arrival = 0.0;
@@ -77,21 +67,66 @@ class RoundExecutor : public StrategyEngine {
     sim::Time response = 0.0;  // +inf if the worker never responds
   };
 
-  /// Read-only view of a finished collection/recovery phase, handed to
-  /// the decode hooks. `final_chunk_workers[c]` holds the responders that
-  /// delivered chunk c in ascending worker-id order; `extra_chunks[w]`
-  /// the chunks worker w picked up during recovery.
-  /// `byzantine_chunk_workers[c]` lists the corrupted responders stripped
-  /// from chunk c after collection (empty on honest clusters) — functional
-  /// decodes re-add their corrupted values so the decoder's residual check
-  /// performs the identification numerically (docs/DESIGN.md §7).
-  struct RoundLedger {
-    const sched::Allocation& alloc;
-    std::span<const WorkerTiming> timing;
-    const std::vector<bool>& used;
-    const std::vector<std::vector<std::size_t>>& final_chunk_workers;
-    const std::vector<std::vector<std::size_t>>& extra_chunks;
-    const std::vector<std::vector<std::size_t>>& byzantine_chunk_workers;
+  /// The state of one round, written by the lifecycle phases in order and
+  /// handed read-only to the decode hooks once collection, recovery and
+  /// verification are done. The executor keeps one instance across rounds:
+  /// every vector is cleared (never shrunk) when a round starts, so a
+  /// warmed steady-state round touches the heap zero times —
+  /// tests/arena_test.cpp's counting allocator enforces it — and a warmed
+  /// recovery round allocates only on decode cache misses. The Byzantine
+  /// verification keeps a local mask: it runs on corrupted rounds only.
+  struct RoundState {
+    // ---- scalars, re-written every round ----
+    sim::Time t0 = 0.0;
+    /// Collection quorum: every coverage target — allocation, deadline
+    /// reference, wave deficiency — uses it, so Byzantine rounds gather
+    /// the redundancy the verification pass needs. quorum() when honest.
+    std::size_t q = 0;
+    std::size_t width = 1;  // RHS block width b (1 for classic rounds)
+    // The cost hooks, read once per round: fixed_work(), chunk_flops()
+    // and chunk_flops() / worker_flops.
+    double fixed = 0.0;
+    double flops = 0.0;
+    double chunk_work = 0.0;
+    std::size_t finite = 0;      // assigned workers that ever respond
+    sim::Time deadline = 0.0;    // §4.3 collection deadline (timeout kinds)
+    sim::Time coverage = 0.0;    // every chunk has q responders
+    sim::Time cancel = 0.0;      // cancelled workers stop computing
+
+    // ---- the ledger the decode hooks read ----
+    sched::Allocation alloc;
+    std::vector<WorkerTiming> timing;
+    std::vector<bool> used;
+    /// Responders that delivered chunk c, in ascending worker-id order.
+    std::vector<std::vector<std::size_t>> final_chunk_workers;
+    /// The chunks worker w picked up during recovery.
+    std::vector<std::vector<std::size_t>> extra_chunks;
+    /// Corrupted responders stripped from chunk c after collection (empty
+    /// on honest clusters) — functional decodes re-add their corrupted
+    /// values so the decoder's residual check performs the identification
+    /// numerically (docs/DESIGN.md §7).
+    std::vector<std::vector<std::size_t>> byzantine_chunk_workers;
+
+    // ---- collection, charge and accounting scratch ----
+    std::vector<std::size_t> assigned;     // workers with assigned work
+    std::vector<std::size_t> by_response;  // `assigned` by response time
+    std::vector<bool> responded;           // beat the §4.3 deadline
+    std::vector<std::vector<std::size_t>> alloc_chunk_workers;
+    std::vector<std::vector<std::size_t>> subsets;  // decode_subsets output
+    std::vector<sim::Time> recovery_busy;  // compute spent on extras
+    std::vector<double> recovery_waste;    // died mid-reassignment
+
+    // ---- §4.3 recovery waves ----
+    // have[i] views final_chunk_workers at deficient[i]; the views live
+    // only while a wave plans.
+    std::vector<bool> recovery_live;
+    std::vector<sim::Time> free_at;
+    std::vector<std::size_t> deficient;
+    std::vector<std::span<const std::size_t>> have;
+    std::vector<std::size_t> needed;
+    std::vector<double> rspeeds;
+    sched::ReassignmentScratch reassign_scratch;
+    sched::ReassignmentPlan plan;
   };
 
   // ---- geometry / cost hooks -------------------------------------------
@@ -130,18 +165,28 @@ class RoundExecutor : public StrategyEngine {
   /// response time; only the first `finite` ever respond. Not consulted
   /// on the §4.3 timeout path (recovery strategies collect by deadline).
   [[nodiscard]] virtual std::size_t collection_count(
-      std::span<const std::size_t> by_response, std::size_t finite) const;
+      std::span<const std::size_t> /*by_response*/,
+      std::size_t /*finite*/) const {
+    return collection_quorum();
+  }
 
-  // ---- recovery policy --------------------------------------------------
-  /// True: a recovery worker dying mid-reassignment books its partial
-  /// progress as waste and its chunks re-plan among survivors in the next
-  /// wave (the §4.3 generalization). False: the death is an unrecoverable
-  /// cluster failure (the poly engine's historical behavior).
-  [[nodiscard]] virtual bool recovery_survives_death() const = 0;
+  // ---- failure policy ---------------------------------------------------
+  /// Thrown when fewer than quorum assigned workers can ever respond.
   [[nodiscard]] virtual const char* quorum_failure_error() const = 0;
+  /// True (default): a recovery worker dying mid-reassignment books its
+  /// partial progress as waste and its chunks re-plan among survivors in
+  /// the next wave (the §4.3 generalization). False: the death is an
+  /// unrecoverable cluster failure, thrown as recovery_death_error().
+  [[nodiscard]] virtual bool recovery_survives_death() const { return true; }
+  [[nodiscard]] virtual const char* recovery_death_error() const {
+    return "cluster failure during recovery";
+  }
+  /// Thrown when no live worker set can cover a deficient chunk; `what`
+  /// is the planner's reason.
   [[nodiscard]] virtual std::string recovery_infeasible_error(
-      const char* what) const = 0;
-  [[nodiscard]] virtual const char* recovery_death_error() const = 0;
+      const char* what) const {
+    return std::string("cluster failure: recovery infeasible: ") + what;
+  }
 
   // ---- decode hooks -----------------------------------------------------
   /// The strategy's persistent decode context (cache lives across rounds).
@@ -149,7 +194,7 @@ class RoundExecutor : public StrategyEngine {
   /// Per-chunk decode subsets (the exact worker ids the decoder will
   /// solve from — cost-model cache keys must match the numeric decoder's),
   /// filled into `out` (outer and inner capacity retained across rounds).
-  virtual void decode_subsets(const RoundLedger& ledger,
+  virtual void decode_subsets(const RoundState& round,
                               std::vector<std::vector<std::size_t>>& out)
       const = 0;
   /// Reconstructed values per chunk (multiplies the per-RHS solve cost).
@@ -160,16 +205,18 @@ class RoundExecutor : public StrategyEngine {
   /// Block analog for width > 1 rounds. Default false; strategies whose
   /// kind supports block rounds override it.
   [[nodiscard]] virtual bool functional_block_round(
-      const linalg::Matrix& x_block) const;
+      const linalg::Matrix& /*x_block*/) const {
+    return false;
+  }
   /// Runs the numeric decode and stores the product into `result` (y for
   /// matrix-vector strategies, hessian for bilinear ones).
-  virtual void decode_product(RoundResult& result, const RoundLedger& ledger,
+  virtual void decode_product(RoundResult& result, const RoundState& round,
                               std::span<const double> x) = 0;
   /// Block analog: decodes all columns of A·X into result.y_block through
   /// one width-b decoder. Default throws; never reached while
   /// supports_block_rounds() is false.
   virtual void decode_product_block(RoundResult& result,
-                                    const RoundLedger& ledger,
+                                    const RoundState& round,
                                     const linalg::Matrix& x_block);
 
   [[nodiscard]] double timeout_factor() const noexcept {
@@ -200,18 +247,52 @@ class RoundExecutor : public StrategyEngine {
   std::vector<std::size_t> flagged_scratch_;
 
  private:
-  /// The one copy of the round lifecycle. `width` is the RHS block width b
-  /// (1 for classic rounds); `x_block` is non-null only for width > 1
-  /// functional panels. Every b-scaled term multiplies by width exactly,
-  /// so width == 1 reproduces the pre-block arithmetic bit for bit.
+  /// The one copy of the round lifecycle: the phases below, in order.
+  /// `width` is the RHS block width b (1 for classic rounds); `x_block` is
+  /// non-null only for width > 1 rounds. Dispatch then ships b columns,
+  /// every chunk response carries b values per row, compute and decode
+  /// charges scale by b, and one cached decode factorization per responder
+  /// set serves all b columns. Every b-scaled term multiplies by width
+  /// exactly, so width == 1 is the single-column arithmetic bit for bit.
   [[nodiscard]] RoundResult run_round_impl(std::span<const double> x,
                                            const linalg::Matrix* x_block,
-                                           std::size_t width);
+                                           std::size_t width) final;
+
+  // ---- phases, in lifecycle order; each reads and writes round_ --------
+  void begin_round(std::size_t width);  // scalars: t0, q, width, cost hooks
   void predict_speeds(sim::Time t0, std::vector<double>& out);
-  /// `work` is the unit-speed seconds of the assignment for one column.
-  [[nodiscard]] WorkerTiming simulate_worker(std::size_t w, sim::Time t0,
-                                             std::size_t chunks, double work,
-                                             std::size_t width) const;
+  /// Simulates every worker's broadcast, compute and response, orders the
+  /// responders, throws the quorum failure, and clears the ledger.
+  void dispatch();
+  void collect_fastest();
+  void collect_by_deadline(sim::RoundStats& stats);
+  void recover(RoundResult& result);
+  /// Plans one recovery wave into round_.plan; false when no chunk is
+  /// deficient.
+  bool plan_wave(std::span<const double> predicted);
+  void verify(sim::RoundStats& stats);  // strips Byzantine responders
+  void charge(sim::RoundStats& stats);  // decode cost; sets coverage, end
+  void account();
+  void observe(RoundResult& result);
+  void record_health(RoundResult& result);
+  void decode(RoundResult& result, bool functional, std::span<const double> x,
+              const linalg::Matrix* x_block);
+
+  // ---- the two pinned cost orders ----------------------------------------
+  // Unit-speed seconds of `chunks` chunks plus the fixed per-round work,
+  // one column. Dispatch evaluates fixed + (chunks · flops) / worker_flops;
+  // accounting, observation and health evaluate fixed + chunks · chunk_work.
+  // The two differ in the last bit, and both stay: fingerprint_guard_test
+  // pins the s2c2 bits, and so does the executor copy in
+  // bench/e2e/replay.cpp.
+  [[nodiscard]] double dispatch_work(std::size_t chunks) const;
+  [[nodiscard]] double accounted_work(std::size_t chunks) const;
+  /// Worker w's booked base and recovery work over all width columns.
+  struct WorkerWork {
+    double base;
+    double extra;
+  };
+  [[nodiscard]] WorkerWork worker_work(std::size_t w) const;
 
   bool oracle_speeds_;
   double timeout_factor_;
@@ -219,37 +300,7 @@ class RoundExecutor : public StrategyEngine {
   std::size_t chunks_per_partition_;
   bool health_informed_;
   telemetry::HealthMonitor health_;
-
-  // Per-round scratch: every vector below is cleared (never shrunk) at
-  // round start, so a warmed steady-state round touches the heap zero
-  // times — tests/arena_test.cpp's counting allocator enforces it. The
-  // §4.3 recovery waves reuse their own retained members (recovery_live_
-  // through plan_), so a warmed recovery round allocates only on decode
-  // cache misses. The Byzantine sub-path keeps a local mask: it runs on
-  // corrupted rounds only.
-  sched::Allocation round_alloc_;
-  std::vector<WorkerTiming> timing_;
-  std::vector<std::size_t> assigned_;
-  std::vector<std::size_t> by_response_;
-  std::vector<std::vector<std::size_t>> final_chunk_workers_;
-  std::vector<std::vector<std::size_t>> extra_chunks_;
-  std::vector<std::vector<std::size_t>> alloc_chunk_workers_;
-  std::vector<std::vector<std::size_t>> byzantine_chunk_workers_;
-  std::vector<std::vector<std::size_t>> subsets_;
-  std::vector<sim::Time> recovery_busy_;
-  std::vector<double> recovery_waste_;
-  std::vector<bool> used_;
-  std::vector<bool> responded_;
-  // §4.3 recovery-wave state. have_[i] views final_chunk_workers_ at
-  // deficient_[i]; the views live only while a wave plans.
-  std::vector<bool> recovery_live_;
-  std::vector<sim::Time> free_at_;
-  std::vector<std::size_t> deficient_;
-  std::vector<std::span<const std::size_t>> have_;
-  std::vector<std::size_t> needed_;
-  std::vector<double> rspeeds_;
-  sched::ReassignmentScratch reassign_scratch_;
-  sched::ReassignmentPlan plan_;
+  RoundState round_;
 };
 
 }  // namespace s2c2::core

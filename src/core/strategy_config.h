@@ -52,13 +52,10 @@ struct ClusterSpec {
 };
 
 /// The one strategy taxonomy every layer shares — engines, harness axes,
-/// job driver, report, CLIs. Replaces the pre-PR-5 trio of
-/// core::Strategy / harness::EngineKind / harness::JobStrategy, which
-/// drifted independently and were switch-dispatched at every consumer.
-/// `strategy_name` / `parse_strategy` are the single naming authority;
-/// capability predicates below drive the harness axes and the README
-/// strategy table. Engines are constructed through make_engine in
-/// engine_factory.h.
+/// job driver, report, CLIs. `strategy_name` / `parse_strategy` are the
+/// single naming authority; capability predicates below drive the
+/// harness axes and the README strategy table. Engines are constructed
+/// through make_engine in engine_factory.h.
 enum class StrategyKind {
   kS2C2,              // speed-proportional MDS shares (paper §4.2, Alg. 1)
   kS2C2Basic,         // equal shares over non-stragglers (paper §4.1)

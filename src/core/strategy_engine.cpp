@@ -30,6 +30,20 @@ void StrategyEngine::ensure_predictor(bool oracle_speeds) {
   }
 }
 
+RoundResult StrategyEngine::run_round(std::span<const double> x) {
+  return run_counted(x, nullptr, 1);
+}
+
+RoundResult StrategyEngine::run_counted(std::span<const double> x,
+                                        const linalg::Matrix* x_block,
+                                        std::size_t width) {
+  RoundResult result = run_round_impl(x, x_block, width);
+  now_ = result.stats.end;
+  ++rounds_run_;
+  if (result.stats.timeout_fired) ++timeouts_;
+  return result;
+}
+
 RoundResult StrategyEngine::run_round_block(const linalg::Matrix& x_block,
                                             std::size_t width) {
   S2C2_REQUIRE(width >= 1, "block round width must be >= 1");
@@ -44,7 +58,21 @@ RoundResult StrategyEngine::run_round_block(const linalg::Matrix& x_block,
   S2C2_REQUIRE(supports_block_rounds(),
                std::string(strategy_name(kind_)) +
                    " does not support block rounds (width > 1)");
-  return run_wide_round(x_block, width);
+  return run_counted({}, &x_block, width);
+}
+
+void StrategyEngine::forward_direct_product(const DirectMultiply& direct,
+                                            std::span<const double> x,
+                                            const linalg::Matrix* x_block,
+                                            RoundResult& result) {
+  if (!direct) return;
+  if (x_block != nullptr && !x_block->empty()) {
+    result.y_block = direct(*x_block);
+  } else if (!x.empty()) {
+    const linalg::Matrix panel(x.size(), 1, {x.begin(), x.end()});
+    const linalg::Matrix y = direct(panel);
+    result.y = linalg::Vector(y.data().begin(), y.data().end());
+  }
 }
 
 std::vector<RoundResult> StrategyEngine::run_rounds(

@@ -7,11 +7,13 @@
 // `run_round(x)` advances one simulated iteration on the engine's private
 // clock and returns a RoundResult; the harness, job driver, benches, and
 // CLIs drive any strategy through this interface and construct them
-// through make_engine in engine_factory.h. Coded strategies additionally
-// share the §4.3 round lifecycle in round_executor.h; the uncoded
-// baselines implement run_round with their own dynamics (LATE
-// speculation, partition rebalancing) but still forward the exact product
-// in functional mode, so convergence loops are strategy-agnostic.
+// through make_engine in engine_factory.h. Every engine implements one
+// round entry point, run_round_impl, which both run_round and
+// run_round_block reach. Coded strategies share the §4.3 round lifecycle
+// in round_executor.h; the uncoded baselines implement run_round_impl
+// with their own dynamics (LATE speculation, partition rebalancing) but
+// still forward the exact product in functional mode, so convergence
+// loops are strategy-agnostic.
 #pragma once
 
 #include <functional>
@@ -33,8 +35,7 @@ class HealthMonitor;
 
 namespace s2c2::core {
 
-/// One simulated round from any strategy (the pre-PR-5 RoundResult and
-/// PolyRoundResult collapsed into one type). Which functional payload is
+/// One simulated round from any strategy. Which functional payload is
 /// set depends on the strategy's product shape: matrix-vector strategies
 /// (MDS/S2C2, uncoded baselines) fill `y`; the bilinear polynomial
 /// strategies fill `hessian`. Cost-only rounds leave both empty.
@@ -69,7 +70,7 @@ class StrategyEngine {
   /// the product (decoded for coded strategies, exact for the uncoded
   /// baselines); with an empty span the round is latency-only. Throws
   /// std::runtime_error on unrecoverable cluster failure.
-  virtual RoundResult run_round(std::span<const double> x = {}) = 0;
+  RoundResult run_round(std::span<const double> x = {});
 
   /// Multi-RHS block round: one coded round whose data path carries a
   /// cols x b panel X (b = width), amortizing the per-round fixed costs —
@@ -77,11 +78,11 @@ class StrategyEngine {
   /// responder set — across all b columns. width == 1 forwards to
   /// run_round on X's only column (bit-for-bit the single-RHS path);
   /// width > 1 requires supports_block_rounds() and goes to the engine's
-  /// run_wide_round. An empty X runs a latency-only block round at the
-  /// given width; otherwise the result's y_block (y at width 1) carries
-  /// the product. Throws std::invalid_argument on width 0, a panel whose
-  /// column count is not `width`, or width > 1 on a strategy without
-  /// block rounds.
+  /// run_round_impl with the panel. An empty X runs a latency-only block
+  /// round at the given width; otherwise the result's y_block (y at
+  /// width 1) carries the product. Throws std::invalid_argument on width
+  /// 0, a panel whose column count is not `width`, or width > 1 on a
+  /// strategy without block rounds.
   RoundResult run_round_block(const linalg::Matrix& x_block,
                               std::size_t width);
 
@@ -173,10 +174,24 @@ class StrategyEngine {
   StrategyEngine(StrategyKind kind, ClusterSpec spec,
                  std::unique_ptr<predict::SpeedPredictor> predictor);
 
-  /// The width > 1 block round, reached only through run_round_block after
-  /// it validated the panel and the strategy's block-round capability.
-  virtual RoundResult run_wide_round(const linalg::Matrix& x_block,
-                                     std::size_t width) = 0;
+  /// The engine's one round, run from the engine clock's now(); the
+  /// caller advances the clock to the result's stats.end and counts the
+  /// round. run_round passes (x, nullptr, 1); run_round_block passes
+  /// ({}, &X, width) for width > 1, after it validated the panel and the
+  /// strategy's block-round capability.
+  [[nodiscard]] virtual RoundResult run_round_impl(
+      std::span<const double> x, const linalg::Matrix* x_block,
+      std::size_t width) = 0;
+
+  /// Uncoded execution computes the exact product by construction: the
+  /// baselines forward direct(x) into result.y, or the whole panel product
+  /// direct(X) into result.y_block in one matmat call, so functional loops
+  /// go through the same code path as the coded engines. No-op when
+  /// `direct` is empty or the round carries no input.
+  static void forward_direct_product(const DirectMultiply& direct,
+                                     std::span<const double> x,
+                                     const linalg::Matrix* x_block,
+                                     RoundResult& result);
 
   /// Installs the last-value default used by every predicting engine when
   /// the caller supplied no predictor and no oracle flag.
@@ -199,23 +214,29 @@ class StrategyEngine {
 
   /// Pops a recycled RoundResult (or a fresh one if the pool is empty).
   /// The recycled result keeps its payload capacity but carries stale
-  /// contents — run_round implementations must overwrite stats and either
-  /// fill or reset() every optional payload before returning it.
+  /// contents — run_round_impl implementations must overwrite stats and
+  /// either fill or reset() every optional payload before returning it.
   [[nodiscard]] RoundResult acquire_result() {
-    if (result_pool_.empty()) return {};
-    RoundResult r = std::move(result_pool_.back());
-    result_pool_.pop_back();
+    RoundResult r;
+    if (!result_pool_.empty()) {
+      r = std::move(result_pool_.back());
+      result_pool_.pop_back();
+    }
     return r;
   }
 
   ClusterSpec spec_;
   std::unique_ptr<predict::SpeedPredictor> predictor_;
   sim::Accounting accounting_;
+
+ private:
+  /// run_round_impl plus the per-round bookkeeping every engine shares.
+  RoundResult run_counted(std::span<const double> x,
+                          const linalg::Matrix* x_block, std::size_t width);
+
   sim::Time now_ = 0.0;
   std::size_t rounds_run_ = 0;
   std::size_t timeouts_ = 0;
-
- private:
   StrategyKind kind_;
   std::size_t mispredicted_rounds_ = 0;
   std::size_t predicted_rounds_ = 0;  // rounds with >= 1 prediction sample

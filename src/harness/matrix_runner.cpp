@@ -103,8 +103,7 @@ MatrixResult run_matrix(const ScenarioConfig& base, const MatrixAxes& axes,
   // fingerprint derived from it) is identical for any thread count.
   util::parallel_for(coords.size(), options.jobs, [&](std::size_t i) {
     const CellCoord& c = coords[i];
-    ScenarioConfig cfg = cell_config(base, c.workers, c.predictor);
-    cfg.inner_jobs = options.inner_jobs;
+    const ScenarioConfig cfg = cell_config(base, c.workers, c.predictor);
     out.cells[i] = run_cell(cfg, c.engine, c.workload, c.trace);
   });
   return out;

@@ -71,16 +71,9 @@ struct CellCoord {
 
 struct RunnerOptions {
   /// Worker threads for the sweep; 0 = hardware concurrency, 1 = serial.
+  /// Intra-round parallelism within each cell's engine is the base
+  /// config's ScenarioConfig::inner_jobs, which every cell inherits.
   std::size_t jobs = 1;
-  /// Intra-round parallelism *within* each cell's engine
-  /// (ScenarioConfig::inner_jobs / core::EngineParams::inner_jobs):
-  /// 1 = serial round loop (default), N >= 2 = N-way engine-owned pool,
-  /// 0 = hardware threads. Composes safely with `jobs`: a cell running on
-  /// a pool worker detects the nesting and its chunk fan-out uses the
-  /// engine pool's help-first parallel_for, never spawning per-cell
-  /// thread storms. Results are byte-identical at every (jobs x
-  /// inner_jobs) combination.
-  std::size_t inner_jobs = 1;
 };
 
 /// The base config rescaled to a cell's cluster size: k and the straggler

@@ -163,10 +163,11 @@ struct ScenarioConfig {
   /// core::EngineParams::inner_jobs: 1 (default) keeps the serial,
   /// allocation-free round loop; N >= 2 fans each cell's large chunk
   /// products over an N-way engine-owned pool; 0 uses every hardware
-  /// thread. Bitwise-invariant: every cell fingerprint is
-  /// identical at any inner_jobs, and it composes with the matrix
-  /// runner's outer --jobs sharding (nested parallel_for falls back
-  /// serial inside pool workers, so threads never multiply).
+  /// thread. run_matrix hands it to every cell unchanged. Bitwise-
+  /// invariant: every cell fingerprint is identical at any inner_jobs,
+  /// and it composes with the matrix runner's outer RunnerOptions::jobs
+  /// sharding (a cell on a pool worker fans its chunks out through its
+  /// engine pool's help-first parallel_for, so threads never multiply).
   std::size_t inner_jobs = 1;
 
   [[nodiscard]] std::size_t effective_k() const {

@@ -2,7 +2,11 @@
 // the placement cliff — the failure paths a production deployment hits.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/core/engine.h"
+#include "src/core/engine_factory.h"
 #include "src/core/overdecomp_engine.h"
 #include "src/core/replication_engine.h"
 #include "src/harness/scenario_matrix.h"
@@ -222,6 +226,98 @@ TEST(FaultInjection, DeathRecoveryIsDeterministic) {
   const auto b = run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+// A cost-only engine of `kind` on a 12-worker cluster whose every coded
+// geometry decodes from any 4 responders: k = 4 for the MDS family and
+// LT, a = 2 (a² = 4) for poly.
+std::unique_ptr<StrategyEngine> quorum4_engine(
+    StrategyKind kind, std::vector<sim::SpeedTrace> traces) {
+  EngineParams p;
+  p.cluster = spec_from(std::move(traces));
+  p.rows = 240;
+  p.cols = 24;
+  p.k = 4;
+  p.a_blocks = 2;
+  p.chunks_per_partition = 12;
+  return make_engine(kind, std::move(p));
+}
+
+// The cluster-failure text one round throws, or "" when it completes.
+std::string round_error(StrategyEngine& engine) {
+  try {
+    (void)engine.run_round();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultInjection, QuorumFailureMessagePerCodedKind) {
+  // Only workers 0 and 1 ever respond — fewer than any kind's quorum.
+  // Failed scenario cells hash their error text, so each kind's exact
+  // message is wire format.
+  std::vector<sim::SpeedTrace> traces(12, sim::SpeedTrace::constant(0.0));
+  traces[0] = sim::SpeedTrace::constant(1.0);
+  traces[1] = sim::SpeedTrace::constant(1.0);
+  const char* const kMds = "cluster failure: fewer than k workers can respond";
+  const char* const kPoly = "cluster failure: fewer than a^2 responders";
+  const std::vector<std::pair<StrategyKind, const char*>> expected = {
+      {StrategyKind::kS2C2, kMds},
+      {StrategyKind::kS2C2Basic, kMds},
+      {StrategyKind::kMds, kMds},
+      {StrategyKind::kAgc, kMds},
+      {StrategyKind::kPoly, kPoly},
+      {StrategyKind::kPolyConventional, kPoly},
+      {StrategyKind::kLt,
+       "cluster failure: too few responders to reach the LT decode "
+       "threshold"},
+  };
+  std::size_t coded = 0;
+  for (const StrategyKind k : all_strategy_kinds()) {
+    if (strategy_is_coded(k)) ++coded;
+  }
+  ASSERT_EQ(expected.size(), coded) << "a coded kind has no pinned message";
+  for (const auto& [kind, what] : expected) {
+    EXPECT_EQ(round_error(*quorum4_engine(kind, traces)), what)
+        << strategy_name(kind);
+  }
+}
+
+// Worker 11 never responds, so the §4.3 timeout fires and its chunks are
+// reassigned; workers 1-10 die right after their base response, while
+// the recovery wave they are handed is in flight. Worker 0 survives.
+// Deaths are timed off `kind`'s all-alive round so they land between the
+// base responses and the recovery wave on either geometry.
+std::vector<sim::SpeedTrace> recovery_death_traces(StrategyKind kind) {
+  const sim::Time base_done =
+      quorum4_engine(kind, test::uniform_traces(12))->run_round()
+          .stats.coverage;
+  std::vector<sim::SpeedTrace> traces = test::uniform_traces(12);
+  for (std::size_t w = 1; w < 11; ++w) {
+    traces[w] = sim::SpeedTrace::step(1.05 * base_done, 1.0, 0.0);
+  }
+  traces[11] = sim::SpeedTrace::constant(0.0);
+  return traces;
+}
+
+TEST(FaultInjection, PolyRecoveryDeathIsAClusterFailure) {
+  // The poly engine treats a recovery worker's death as unrecoverable.
+  const auto engine = quorum4_engine(
+      StrategyKind::kPoly, recovery_death_traces(StrategyKind::kPoly));
+  EXPECT_EQ(round_error(*engine), "cluster failure during poly recovery");
+}
+
+TEST(FaultInjection, S2C2SurvivesARecoveryDeath) {
+  // The same death on s2c2 cascades: the dead recovery workers' chunks
+  // re-plan in later waves until worker 0 covers them.
+  const auto engine = quorum4_engine(
+      StrategyKind::kS2C2, recovery_death_traces(StrategyKind::kS2C2));
+  const RoundResult r = engine->run_round();
+  EXPECT_TRUE(r.stats.timeout_fired);
+  // Worker 11's 4 chunks are the only deficient ones: any reassignment
+  // beyond them is a later wave re-planning a dead recovery worker's.
+  EXPECT_GT(r.stats.reassigned_chunks, 4u);
 }
 
 TEST(FaultInjection, FrozenPredictorMissesRegimeChange) {

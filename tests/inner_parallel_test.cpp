@@ -2,7 +2,8 @@
 // (EngineParams::inner_jobs) composed with every outer sharding level must
 // be bitwise invisible. The scenario-matrix contract under test:
 //
-//   run_matrix(cfg, axes, {.jobs = J, .inner_jobs = I})
+//   cfg.inner_jobs = I;
+//   run_matrix(cfg, axes, {.jobs = J})
 //
 // hashes identically for every (J x I) combination — outer cells shard
 // across the runner's pool, each cell's engine owns an inner pool, and the
@@ -62,18 +63,19 @@ harness::ScenarioConfig regression_config() {
 TEST(InnerParallel, MatrixFingerprintInvariantAcrossJobsByInnerJobs) {
   // The headline contract: the full (outer x inner) grid hashes to the
   // serial sweep's fingerprint, cell for cell.
-  const harness::ScenarioConfig cfg = regression_config();
+  harness::ScenarioConfig cfg = regression_config();
   const harness::MatrixAxes axes = regression_axes();
   const harness::MatrixResult serial =
-      harness::run_matrix(cfg, axes, {.jobs = 1, .inner_jobs = 1});
+      harness::run_matrix(cfg, axes, {.jobs = 1});
   ASSERT_FALSE(serial.cells.empty());
   for (const harness::CellResult& cell : serial.cells) {
     EXPECT_FALSE(cell.failed) << cell.error;
   }
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t inner : {std::size_t{2}, std::size_t{4}}) {
-      const harness::MatrixResult sharded = harness::run_matrix(
-          cfg, axes, {.jobs = jobs, .inner_jobs = inner});
+      cfg.inner_jobs = inner;
+      const harness::MatrixResult sharded =
+          harness::run_matrix(cfg, axes, {.jobs = jobs});
       ASSERT_EQ(sharded.cells.size(), serial.cells.size());
       for (std::size_t i = 0; i < serial.cells.size(); ++i) {
         EXPECT_EQ(sharded.cells[i].fingerprint(),
