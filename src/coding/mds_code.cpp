@@ -7,45 +7,52 @@
 
 namespace s2c2::coding {
 
-EncodedPartition::EncodedPartition(linalg::Matrix dense)
-    : dense_(std::move(dense)) {}
+namespace {
 
-EncodedPartition::EncodedPartition(linalg::CsrMatrix sparse)
-    : sparse_(std::move(sparse)) {}
+/// Rows of partition `worker` that can be nonzero: a systematic partition
+/// holds operator rows [worker·pr, (worker+1)·pr), so min(pr, D − worker·pr)
+/// of them (0 past the end); a parity partition mixes every block and
+/// counts all pr.
+std::size_t live_rows(const GeneratorMatrix& g, std::size_t worker,
+                      std::size_t data_rows, std::size_t pr) {
+  if (!g.is_systematic_row(worker)) return pr;
+  const std::size_t first_row = worker * pr;
+  return data_rows > first_row ? std::min(pr, data_rows - first_row) : 0;
+}
 
-std::size_t EncodedPartition::rows() const noexcept {
-  return sparse_ ? sparse_->rows() : dense_->rows();
+}  // namespace
+
+EncodedPartition::EncodedPartition(linalg::Matrix dense, std::size_t rows)
+    : dense_(std::move(dense)), rows_(rows) {
+  S2C2_REQUIRE(dense_->rows() <= rows_, "partition stores too many rows");
+}
+
+EncodedPartition::EncodedPartition(linalg::CsrMatrix sparse, std::size_t rows)
+    : sparse_(std::move(sparse)), rows_(rows) {
+  S2C2_REQUIRE(sparse_->rows() <= rows_, "partition stores too many rows");
 }
 
 std::size_t EncodedPartition::cols() const noexcept {
   return sparse_ ? sparse_->cols() : dense_->cols();
 }
 
+std::size_t EncodedPartition::stored_rows() const noexcept {
+  return sparse_ ? sparse_->rows() : dense_->rows();
+}
+
 std::size_t EncodedPartition::storage_bytes() const noexcept {
   if (sparse_) {
-    // values + column indices + row pointers.
+    // values + column indices + row pointers (padding rows hold no values).
     return sparse_->nnz() * (sizeof(double) + sizeof(std::size_t)) +
-           (sparse_->rows() + 1) * sizeof(std::size_t);
+           (rows_ + 1) * sizeof(std::size_t);
   }
-  return dense_->size() * sizeof(double);
+  return rows_ * dense_->cols() * sizeof(double);
 }
 
 void EncodedPartition::matvec_rows(std::size_t r0, std::size_t r1,
                                    std::span<const double> x,
                                    std::span<double> y) const {
-  S2C2_REQUIRE(r0 <= r1 && r1 <= rows(), "matvec_rows range out of bounds");
-  S2C2_REQUIRE(y.size() == r1 - r0, "matvec_rows output size mismatch");
-  if (sparse_) {
-    S2C2_REQUIRE(x.size() == sparse_->cols(), "matvec_rows x size mismatch");
-    linalg::kernels::csr_matvec(sparse_->row_ptr().data() + r0, r1 - r0,
-                                sparse_->col_idx().data(),
-                                sparse_->values().data(), x.data(), y.data());
-    return;
-  }
-  S2C2_REQUIRE(x.size() == dense_->cols(), "matvec_rows x size mismatch");
-  const std::size_t cols = dense_->cols();
-  linalg::kernels::dense_matvec(dense_->data().data() + r0 * cols, r1 - r0,
-                                cols, x.data(), y.data());
+  matmat_rows(r0, r1, x, 1, y);
 }
 
 void EncodedPartition::matmat_rows(std::size_t r0, std::size_t r1,
@@ -56,20 +63,25 @@ void EncodedPartition::matmat_rows(std::size_t r0, std::size_t r1,
   S2C2_REQUIRE(r0 <= r1 && r1 <= rows(), "matmat_rows range out of bounds");
   S2C2_REQUIRE(y.size() == (r1 - r0) * width,
                "matmat_rows output size mismatch");
-  if (sparse_) {
-    S2C2_REQUIRE(x.size() == sparse_->cols() * width,
-                 "matmat_rows x panel size mismatch");
-    linalg::kernels::csr_matmat(sparse_->row_ptr().data() + r0, r1 - r0,
-                                sparse_->col_idx().data(),
-                                sparse_->values().data(), x.data(), width,
-                                y.data());
-    return;
+  S2C2_REQUIRE(x.size() == cols() * width, "matmat_rows x panel size mismatch");
+  const std::size_t live = std::clamp(stored_rows(), r0, r1);
+  if (live > r0) {
+    const std::size_t n = live - r0;
+    // Width 1 runs the matvec kernels themselves.
+    if (sparse_) {
+      linalg::kernels::csr_matmat(sparse_->row_ptr().data() + r0, n,
+                                  sparse_->col_idx().data(),
+                                  sparse_->values().data(), x.data(), width,
+                                  y.data());
+    } else {
+      const std::size_t cols = dense_->cols();
+      linalg::kernels::dense_matmat(dense_->data().data() + r0 * cols, n, cols,
+                                    x.data(), width, y.data());
+    }
   }
-  S2C2_REQUIRE(x.size() == dense_->cols() * width,
-               "matmat_rows x panel size mismatch");
-  const std::size_t cols = dense_->cols();
-  linalg::kernels::dense_matmat(dense_->data().data() + r0 * cols, r1 - r0,
-                                cols, x.data(), width, y.data());
+  // Rows past the stored ones: the kernel's value for a zero row.
+  std::fill(y.begin() + static_cast<std::ptrdiff_t>((live - r0) * width),
+            y.end(), 0.0);
 }
 
 linalg::Vector EncodedPartition::matvec(std::span<const double> x) const {
@@ -94,7 +106,7 @@ std::vector<EncodedPartition> MdsCode::encode(const linalg::Matrix& a,
   std::vector<EncodedPartition> parts;
   parts.reserve(n());
   for (std::size_t j = 0; j < n(); ++j) {
-    linalg::Matrix part(pr, a.cols());
+    linalg::Matrix part(live_rows(generator_, j, a.rows(), pr), a.cols());
     for (std::size_t i = 0; i < k(); ++i) {
       const double g = generator_.coeff(j, i);
       if (g == 0.0) continue;
@@ -106,7 +118,7 @@ std::vector<EncodedPartition> MdsCode::encode(const linalg::Matrix& a,
         for (std::size_t c = 0; c < a.cols(); ++c) dst[c] += g * src[c];
       }
     }
-    parts.emplace_back(std::move(part));
+    parts.emplace_back(std::move(part), pr);
   }
   return parts;
 }
@@ -119,26 +131,10 @@ std::vector<EncodedPartition> MdsCode::encode(const linalg::CsrMatrix& a,
   parts.reserve(n());
   for (std::size_t j = 0; j < n(); ++j) {
     if (generator_.is_systematic_row(j)) {
-      const std::size_t src0 = j * pr;
-      const std::size_t src1 = std::min(src0 + pr, a.rows());
-      linalg::CsrMatrix block =
-          src0 < a.rows() ? a.row_block(src0, src1)
-                          : linalg::CsrMatrix(0, a.cols(), {});
-      if (block.rows() < pr) {
-        // Pad with explicit zero rows so every partition has pr rows.
-        std::vector<linalg::Triplet> trips;
-        trips.reserve(block.nnz());
-        const auto rp = block.row_ptr();
-        const auto ci = block.col_idx();
-        const auto vals = block.values();
-        for (std::size_t r = 0; r < block.rows(); ++r) {
-          for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) {
-            trips.push_back({r, ci[p], vals[p]});
-          }
-        }
-        block = linalg::CsrMatrix(pr, a.cols(), std::move(trips));
-      }
-      parts.emplace_back(std::move(block));
+      const std::size_t src0 = std::min(j * pr, a.rows());
+      parts.emplace_back(
+          a.row_block(src0, src0 + live_rows(generator_, j, a.rows(), pr)),
+          pr);
       continue;
     }
     // Parity partitions densify: sum of sparse row blocks.
@@ -157,7 +153,7 @@ std::vector<EncodedPartition> MdsCode::encode(const linalg::CsrMatrix& a,
         }
       }
     }
-    parts.emplace_back(std::move(part));
+    parts.emplace_back(std::move(part), pr);
   }
   return parts;
 }

@@ -12,6 +12,13 @@
 // densify, so they are materialized densely. EncodedPartition hides the
 // difference behind one matvec interface.
 //
+// A systematic partition stores only its live rows: the block of worker j
+// holds operator rows [j·pr, (j+1)·pr), so the rows at or past D − j·pr
+// are padding (all of them once j·pr >= D) and are never allocated. The
+// partition keeps the logical pr rows in rows() and storage_bytes(), and
+// its kernels write +0.0 for every row past the stored ones — the value a
+// stored zero row gives for a finite x.
+//
 // Complexity: encode() is a one-time O(n·D·m/k) cost, excluded from
 // per-iteration latencies (paper's setup phase). Decode goes through
 // coding/chunked_decoder.h + coding/decode_context.h at amortized O(k²)
@@ -30,20 +37,26 @@
 namespace s2c2::coding {
 
 /// One worker's stored partition: dense, or CSR when the source operator is
-/// sparse and the partition is systematic.
+/// sparse and the partition is systematic. `rows` is the logical row count;
+/// the stored matrix holds its leading rows (at most `rows`) and every row
+/// past them is a structural zero.
 class EncodedPartition {
  public:
-  explicit EncodedPartition(linalg::Matrix dense);
-  explicit EncodedPartition(linalg::CsrMatrix sparse);
+  EncodedPartition(linalg::Matrix dense, std::size_t rows);
+  EncodedPartition(linalg::CsrMatrix sparse, std::size_t rows);
 
-  [[nodiscard]] std::size_t rows() const noexcept;
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept;
+  /// Leading rows actually stored (<= rows()).
+  [[nodiscard]] std::size_t stored_rows() const noexcept;
   [[nodiscard]] bool is_sparse() const noexcept { return sparse_.has_value(); }
 
-  /// Bytes a worker must store for this partition (Fig 3 storage study).
+  /// Bytes a worker must store for this partition at its logical rows()
+  /// (Fig 3 storage study): the figure of a zero-padded copy.
   [[nodiscard]] std::size_t storage_bytes() const noexcept;
 
   /// y[0..r1-r0) = (partition rows [r0,r1)) * x — the worker-side kernel.
+  /// Rows past stored_rows() get +0.0 without touching x.
   void matvec_rows(std::size_t r0, std::size_t r1, std::span<const double> x,
                    std::span<double> y) const;
 
@@ -60,6 +73,7 @@ class EncodedPartition {
  private:
   std::optional<linalg::Matrix> dense_;
   std::optional<linalg::CsrMatrix> sparse_;
+  std::size_t rows_ = 0;
 };
 
 class MdsCode {
@@ -81,12 +95,12 @@ class MdsCode {
   /// each (>= partition_rows(a.rows())). Row block i covers operator rows
   /// [i·partition_rows, (i+1)·partition_rows); rows past a.rows() are
   /// implicit zeros, so callers padding to a chunk multiple never copy
-  /// the operator.
+  /// the operator, and a systematic partition stores only its live rows.
   [[nodiscard]] std::vector<EncodedPartition> encode(
       const linalg::Matrix& a, std::size_t partition_rows) const;
 
-  /// Encodes a sparse operator (same row-block layout); systematic
-  /// partitions stay CSR, their padding rows stored empty.
+  /// Encodes a sparse operator (same row-block layout and live rows);
+  /// systematic partitions stay CSR.
   [[nodiscard]] std::vector<EncodedPartition> encode(
       const linalg::CsrMatrix& a, std::size_t partition_rows) const;
 

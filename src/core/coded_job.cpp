@@ -81,26 +81,7 @@ void CodedMatVecJob::compute_chunks_into(std::size_t worker, std::size_t first,
                "chunk output span size mismatch");
   const std::size_t r0 = first * rpc;
   const std::size_t r1 = r0 + count * rpc;
-  const std::size_t live = std::clamp(live_rows(worker), r0, r1);
-  if (live > r0) {
-    const std::span<double> y = out.first((live - r0) * width);
-    if (width == 1) {
-      (*partitions_)[worker].matvec_rows(r0, live, x_panel, y);
-    } else {
-      (*partitions_)[worker].matmat_rows(r0, live, x_panel, width, y);
-    }
-  }
-  // Padding rows: the kernel's result for a zero row and a finite panel.
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>((live - r0) * width),
-            out.end(), 0.0);
-}
-
-std::size_t CodedMatVecJob::live_rows(std::size_t worker) const {
-  if (!generator().is_systematic_row(worker)) return partition_rows_;
-  const std::size_t first_row = worker * partition_rows_;
-  return data_rows_ > first_row
-             ? std::min(partition_rows_, data_rows_ - first_row)
-             : 0;
+  (*partitions_)[worker].matmat_rows(r0, r1, x_panel, width, out);
 }
 
 coding::ChunkedDecoder CodedMatVecJob::make_decoder(
@@ -132,11 +113,6 @@ void CodedMatVecJob::trim_block_into(const linalg::Matrix& decoded,
 double CodedMatVecJob::chunk_flops(std::size_t width) const {
   return matvec_flops(rows_per_chunk(), data_cols_) *
          static_cast<double>(width);
-}
-
-std::size_t CodedMatVecJob::partition_bytes(std::size_t worker) const {
-  if (functional()) return partitions_->at(worker).storage_bytes();
-  return partition_rows_ * data_cols_ * 8;
 }
 
 }  // namespace s2c2::core

@@ -69,8 +69,8 @@ class CodedMatVecJob {
   /// rows_per_chunk x width row-major values into `out` — bitwise the
   /// concatenation of the per-chunk products. Rows that are structurally
   /// zero (a systematic partition's padding past data_rows) are not
-  /// computed: they get +0.0, the kernel's value for a zero row and a
-  /// finite panel.
+  /// stored: they get +0.0, the kernel's value for a zero row and a
+  /// finite panel (coding::EncodedPartition).
   void compute_chunks_into(std::size_t worker, std::size_t first,
                            std::size_t count, std::span<const double> x_panel,
                            std::size_t width, std::span<double> out) const;
@@ -102,18 +102,10 @@ class CodedMatVecJob {
     return rows_per_chunk() * width * 8;
   }
   [[nodiscard]] double chunk_flops(std::size_t width = 1) const;
-  /// Storage a worker needs for its partition, in bytes (Fig 3).
-  [[nodiscard]] std::size_t partition_bytes(std::size_t worker) const;
 
  private:
   CodedMatVecJob(std::size_t data_rows, std::size_t data_cols, std::size_t n,
                  std::size_t k, std::size_t chunks);
-
-  /// Leading rows of partition `worker` that can be nonzero: a systematic
-  /// partition holds data rows [worker·pr, (worker+1)·pr), so the rows at
-  /// or past data_rows − worker·pr are padding; a parity partition mixes
-  /// every block and counts all pr rows.
-  [[nodiscard]] std::size_t live_rows(std::size_t worker) const;
 
   // The code and the encoded partitions never change after construction,
   // so copies of a job (each engine takes one) share them instead of

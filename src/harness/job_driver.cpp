@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "src/apps/logistic_regression.h"
@@ -15,6 +16,7 @@
 #include "src/core/engine_factory.h"
 #include "src/telemetry/health_monitor.h"
 #include "src/util/hash.h"
+#include "src/util/memo.h"
 #include "src/util/require.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -307,21 +309,143 @@ core::ClusterSpec job_cluster(const JobConfig& config) {
   return spec;
 }
 
-void run_gd_job(const JobConfig& config, const core::ClusterSpec& spec,
-                JobResult& result) {
-  util::Rng op_rng(operator_salt(config));
-  const bool svm = config.app == JobApp::kSvm;
+/// Step size and regularizer of a GD app's update (logreg or svm).
+struct GdRule {
+  bool svm;
+  double lr;
+  double reg;
+};
+
+GdRule gd_rule(JobApp app) {
+  return app == JobApp::kSvm
+             ? GdRule{true, kSvmLearningRate, kSvmLambda}
+             : GdRule{false, kLogRegLearningRate, kLogRegL2};
+}
+
+/// The strategy-independent part of one (seed, app, trace) job column: the
+/// operator and the uncoded reference trajectory. Immutable once built and
+/// shared read-only by every strategy's job (shared_column()).
+struct JobColumn {
+  workload::Dataset data;       // logreg, svm
+  linalg::CsrMatrix op;         // pagerank link matrix, filter Laplacian
+  std::vector<double> outdeg;   // pagerank
+  linalg::Vector signal;        // graph filter input
+  double gamma = 0.0;           // graph filter contraction scale
+  /// reference[it]: the uncoded iterate after iteration it — w for the GD
+  /// apps, the ranks for PageRank, the filtered signal for the filter —
+  /// for every it < max_iterations.
+  std::vector<linalg::Vector> reference;
+};
+
+void build_gd_column(const JobConfig& config, util::Rng& op_rng,
+                     JobColumn& col) {
+  const GdRule rule = gd_rule(config.app);
   // SVM gets overlapping classes: on a margin-separable blob the hinge
   // objective collapses in 2-3 subgradient steps and the "job" would be
   // too short to measure; logreg's losses decay smoothly either way.
-  const workload::Dataset data =
-      svm ? workload::make_classification(kGdSamples, kGdFeatures, op_rng,
-                                          1.5, 1.2)
-          : workload::make_classification(kGdSamples, kGdFeatures, op_rng,
-                                          3.0, 0.8);
-  const double lr = svm ? kSvmLearningRate : kLogRegLearningRate;
-  const double reg = svm ? kSvmLambda : kLogRegL2;
+  col.data = rule.svm ? workload::make_classification(
+                            kGdSamples, kGdFeatures, op_rng, 1.5, 1.2)
+                      : workload::make_classification(
+                            kGdSamples, kGdFeatures, op_rng, 3.0, 0.8);
+  linalg::Vector w(kGdFeatures, 0.0);
+  for (std::size_t it = 0; it < config.max_iterations; ++it) {
+    const linalg::Vector g =
+        rule.svm ? apps::hinge_subgradient(col.data, w, rule.reg)
+                 : apps::logistic_gradient(col.data, w, rule.reg);
+    linalg::axpy(-rule.lr, g, w);
+    col.reference.push_back(w);
+  }
+}
 
+void build_pagerank_column(const JobConfig& config, util::Rng& op_rng,
+                           JobColumn& col) {
+  const linalg::CsrMatrix adj =
+      workload::power_law_digraph(kPageRankNodes, 5, op_rng);
+  col.op = workload::link_matrix(adj);
+  col.outdeg = apps::out_degrees(adj);
+  const std::size_t nodes = adj.rows();
+  linalg::Vector ranks(nodes, 1.0 / static_cast<double>(nodes));
+  linalg::Vector t(nodes), next(nodes);
+  for (std::size_t it = 0; it < config.max_iterations; ++it) {
+    col.op.matvec_into(ranks, t);
+    apps::pagerank_update(t, ranks, col.outdeg, kPageRankDamping, next);
+    ranks = next;
+    col.reference.push_back(ranks);
+  }
+}
+
+void build_filter_column(const JobConfig& config, util::Rng& op_rng,
+                         JobColumn& col) {
+  const linalg::CsrMatrix adj =
+      workload::random_undirected(kFilterNodes, 0.03, op_rng);
+  col.op = workload::combinatorial_laplacian(adj);
+  col.signal.resize(kFilterNodes);
+  for (auto& v : col.signal) v = op_rng.normal();
+
+  // gamma scales the fixed-point map v <- gamma·L·v to contraction factor
+  // kFilterAlpha (||L||_inf-normalized), so the diffusion series
+  // sum_h (gamma·L)^h · x converges geometrically to tolerance.
+  double row_sum_max = 1.0;
+  const auto rp = col.op.row_ptr();
+  const auto vals = col.op.values();
+  for (std::size_t r = 0; r < col.op.rows(); ++r) {
+    double s = 0.0;
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) s += std::abs(vals[p]);
+    row_sum_max = std::max(row_sum_max, s);
+  }
+  col.gamma = kFilterAlpha / row_sum_max;
+
+  linalg::Vector power = col.signal, filtered = col.signal;
+  for (std::size_t it = 0; it < config.max_iterations; ++it) {
+    const linalg::Vector y = col.op.matvec(power);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      power[i] = col.gamma * y[i];
+      filtered[i] += power[i];
+    }
+    col.reference.push_back(filtered);
+  }
+}
+
+/// The job's column, built once per (seed, app, trace, max_iterations) and
+/// shared by every strategy (and every thread) that asks for it. Inserting
+/// a new column evicts those of another (seed, app): suites run app-major,
+/// so both traces of the current app stay warm while memory stays bounded
+/// by one app's columns. The build is a pure function of the key, so a
+/// cached column is byte-identical to a fresh one.
+std::shared_ptr<const JobColumn> shared_column(const JobConfig& config) {
+  using Key = std::tuple<std::uint64_t, JobApp, TraceProfile, std::size_t>;
+  static util::SharedMemo<Key, std::shared_ptr<const JobColumn>> memo;
+  const Key key{config.seed, config.app, config.trace, config.max_iterations};
+  return memo.get(
+      key,
+      [&] {
+        auto col = std::make_shared<JobColumn>();
+        util::Rng op_rng(operator_salt(config));
+        switch (config.app) {
+          case JobApp::kLogReg:
+          case JobApp::kSvm:
+            build_gd_column(config, op_rng, *col);
+            break;
+          case JobApp::kPageRank:
+            build_pagerank_column(config, op_rng, *col);
+            break;
+          case JobApp::kGraphFilter:
+            build_filter_column(config, op_rng, *col);
+            break;
+        }
+        return std::shared_ptr<const JobColumn>(std::move(col));
+      },
+      [&](const Key& k) {
+        return std::get<0>(k) != config.seed || std::get<1>(k) != config.app;
+      });
+}
+
+void run_gd_job(const JobConfig& config, const core::ClusterSpec& spec,
+                const JobColumn& col, JobResult& result) {
+  const workload::Dataset& data = col.data;
+  const GdRule rule = gd_rule(config.app);
+  // Transposed per job, not in the column: a shared X^T would stay
+  // resident with the memo and raise the suite's peak RSS.
   const linalg::Matrix xt = data.x.transposed();
   const auto fwd = make_channel(config, spec, &data.x, nullptr,
                                 operator_salt(config) ^ 0x1ull);
@@ -329,28 +453,21 @@ void run_gd_job(const JobConfig& config, const core::ClusterSpec& spec,
                                 operator_salt(config) ^ 0x2ull);
 
   linalg::Vector w(kGdFeatures, 0.0);
-  linalg::Vector w_ref = w;
   RoundLog log;
   linalg::Vector margins, grad;
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
     log.record(fwd->multiply(w, margins));
     const linalg::Vector resid =
-        svm ? apps::hinge_residual(data, margins)
-            : apps::logistic_residual(data, margins);
+        rule.svm ? apps::hinge_residual(data, margins)
+                 : apps::logistic_residual(data, margins);
     log.record(bwd->multiply(resid, grad));
-    linalg::axpy(reg, w, grad);
-    linalg::axpy(-lr, grad, w);
+    linalg::axpy(rule.reg, w, grad);
+    linalg::axpy(-rule.lr, grad, w);
+    result.solution_error = std::max(
+        result.solution_error, linalg::max_abs_diff(w, col.reference[it]));
 
-    // Uncoded reference trajectory in lockstep.
-    const linalg::Vector g_ref =
-        svm ? apps::hinge_subgradient(data, w_ref, reg)
-            : apps::logistic_gradient(data, w_ref, reg);
-    linalg::axpy(-lr, g_ref, w_ref);
-    result.solution_error =
-        std::max(result.solution_error, linalg::max_abs_diff(w, w_ref));
-
-    const double obj = svm ? apps::hinge_objective(data, w, reg)
-                           : apps::logistic_loss(data, w, reg);
+    const double obj = rule.svm ? apps::hinge_objective(data, w, rule.reg)
+                                : apps::logistic_loss(data, w, rule.reg);
     result.convergence.push_back(obj);
     ++result.iterations;
     if (result.convergence.size() > 1 &&
@@ -365,37 +482,25 @@ void run_gd_job(const JobConfig& config, const core::ClusterSpec& spec,
 }
 
 void run_pagerank_job(const JobConfig& config, const core::ClusterSpec& spec,
-                      JobResult& result) {
-  util::Rng op_rng(operator_salt(config));
-  const linalg::CsrMatrix adj =
-      workload::power_law_digraph(kPageRankNodes, 5, op_rng);
-  const linalg::CsrMatrix link = workload::link_matrix(adj);
-  const std::vector<double> outdeg = apps::out_degrees(adj);
-
+                      const JobColumn& col, JobResult& result) {
   const auto ch =
-      make_channel(config, spec, nullptr, &link, operator_salt(config));
+      make_channel(config, spec, nullptr, &col.op, operator_salt(config));
 
-  const std::size_t nodes = adj.rows();
+  const std::size_t nodes = col.op.rows();
   linalg::Vector ranks(nodes, 1.0 / static_cast<double>(nodes));
-  linalg::Vector ranks_ref = ranks;
-  linalg::Vector t, next(nodes), t_ref(nodes), next_ref(nodes);
+  linalg::Vector t, next(nodes);
   RoundLog log;
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
     log.record(ch->multiply(ranks, t));
-    apps::pagerank_update(t, ranks, outdeg, kPageRankDamping, next);
-
-    link.matvec_into(ranks_ref, t_ref);
-    apps::pagerank_update(t_ref, ranks_ref, outdeg, kPageRankDamping,
-                          next_ref);
-    ranks_ref = next_ref;
+    apps::pagerank_update(t, ranks, col.outdeg, kPageRankDamping, next);
 
     double delta = 0.0;
     for (std::size_t i = 0; i < nodes; ++i) {
       delta += std::abs(next[i] - ranks[i]);
     }
     ranks = next;
-    result.solution_error =
-        std::max(result.solution_error, linalg::max_abs_diff(ranks, ranks_ref));
+    result.solution_error = std::max(
+        result.solution_error, linalg::max_abs_diff(ranks, col.reference[it]));
     result.convergence.push_back(delta);
     ++result.iterations;
     if (delta <= config.tolerance) {
@@ -408,46 +513,20 @@ void run_pagerank_job(const JobConfig& config, const core::ClusterSpec& spec,
 }
 
 void run_filter_job(const JobConfig& config, const core::ClusterSpec& spec,
-                    JobResult& result) {
-  util::Rng op_rng(operator_salt(config));
-  const linalg::CsrMatrix adj =
-      workload::random_undirected(kFilterNodes, 0.03, op_rng);
-  const linalg::CsrMatrix lap = workload::combinatorial_laplacian(adj);
-  linalg::Vector signal(kFilterNodes);
-  for (auto& v : signal) v = op_rng.normal();
-
-  // gamma scales the fixed-point map v <- gamma·L·v to contraction factor
-  // kFilterAlpha (||L||_inf-normalized), so the diffusion series
-  // sum_h (gamma·L)^h · x converges geometrically to tolerance.
-  double row_sum_max = 1.0;
-  const auto rp = lap.row_ptr();
-  const auto vals = lap.values();
-  for (std::size_t r = 0; r < lap.rows(); ++r) {
-    double s = 0.0;
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) s += std::abs(vals[p]);
-    row_sum_max = std::max(row_sum_max, s);
-  }
-  const double gamma = kFilterAlpha / row_sum_max;
-
+                    const JobColumn& col, JobResult& result) {
   const auto ch =
-      make_channel(config, spec, nullptr, &lap, operator_salt(config));
+      make_channel(config, spec, nullptr, &col.op, operator_salt(config));
 
-  linalg::Vector power = signal, power_ref = signal;
-  linalg::Vector filtered = signal, filtered_ref = signal;
+  linalg::Vector power = col.signal, filtered = col.signal;
   linalg::Vector y;
   RoundLog log;
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
     log.record(ch->multiply(power, y));
-    for (std::size_t i = 0; i < y.size(); ++i) power[i] = gamma * y[i];
+    for (std::size_t i = 0; i < y.size(); ++i) power[i] = col.gamma * y[i];
     for (std::size_t i = 0; i < power.size(); ++i) filtered[i] += power[i];
-
-    const linalg::Vector y_ref = lap.matvec(power_ref);
-    for (std::size_t i = 0; i < y_ref.size(); ++i) {
-      power_ref[i] = gamma * y_ref[i];
-      filtered_ref[i] += power_ref[i];
-    }
-    result.solution_error = std::max(
-        result.solution_error, linalg::max_abs_diff(filtered, filtered_ref));
+    result.solution_error =
+        std::max(result.solution_error,
+                 linalg::max_abs_diff(filtered, col.reference[it]));
 
     double norm = 0.0;
     for (const double v : power) norm = std::max(norm, std::abs(v));
@@ -576,14 +655,7 @@ JobResult run_job(const JobConfig& config) {
   if (config.workers < 2) {
     throw std::invalid_argument("job driver needs >= 2 workers");
   }
-  // Checked here for every strategy: the uncoded baselines never read k,
-  // and the coded ones would fail deep in encode.
-  if (config.effective_k() > config.workers) {
-    throw std::invalid_argument("job driver needs k <= workers (k = " +
-                                std::to_string(config.effective_k()) +
-                                ", workers = " +
-                                std::to_string(config.workers) + ")");
-  }
+  require_k_within_workers("job driver", config.workers, config.k);
   // Validate the strategy axis up front: the unified StrategyKind makes
   // every kind type-legal here, but only the driver strategies (the
   // default four plus lt/agc) have job semantics — fail with the axis
@@ -595,16 +667,18 @@ JobResult run_job(const JobConfig& config) {
   // strategies of a column face the same realized cluster.
   const core::ClusterSpec spec = job_cluster(config);
   try {
+    // So are the operator and the uncoded reference: built once per column.
+    const std::shared_ptr<const JobColumn> col = shared_column(config);
     switch (config.app) {
       case JobApp::kLogReg:
       case JobApp::kSvm:
-        run_gd_job(config, spec, result);
+        run_gd_job(config, spec, *col, result);
         break;
       case JobApp::kPageRank:
-        run_pagerank_job(config, spec, result);
+        run_pagerank_job(config, spec, *col, result);
         break;
       case JobApp::kGraphFilter:
-        run_filter_job(config, spec, result);
+        run_filter_job(config, spec, *col, result);
         break;
     }
   } catch (const std::runtime_error& ex) {

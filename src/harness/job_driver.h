@@ -28,6 +28,15 @@
 // same realized cluster and comparisons are apples-to-apples. run_job is a
 // pure function of its config; run_job_suite shards jobs across a thread
 // pool and is byte-identical at any thread count (see fingerprint()).
+//
+// Because the operator and the uncoded reference trajectory do not depend
+// on the strategy, they are built once per (seed, app, trace,
+// max_iterations) column in a process-wide memo and shared read-only by
+// every job of that column, on any thread. A build is a pure function of
+// its key, so a cached column and a fresh build are byte-identical and the
+// memo never changes a result. Inserting a new column drops the columns of
+// any other (seed, app): suites run app-major, so both traces of the
+// current app stay warm while at most one app's columns stay resident.
 #pragma once
 
 #include <cstddef>
@@ -166,7 +175,8 @@ struct JobResult {
   double final_metric = 0.0;
 
   /// Max abs deviation of the coded trajectory from the uncoded reference
-  /// run in lockstep — ~1e-12-ish decode noise for coded strategies, exact
+  /// trajectory, iteration by iteration (the column's shared reference) —
+  /// ~1e-12-ish decode noise for coded strategies, exact
   /// 0 for the uncoded baselines. A large value here means a strategy
   /// silently degraded the *math*, not just the latency.
   double solution_error = 0.0;

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "src/coding/poly_code.h"
 #include "src/core/engine_factory.h"
 #include "src/linalg/sparse.h"
 #include "src/predict/arima.h"
 #include "src/util/hash.h"
+#include "src/util/memo.h"
 #include "src/util/rng.h"
 #include "src/workload/graphs.h"
 #include "src/workload/trace_gen.h"
@@ -110,45 +109,14 @@ workload::CloudTraceConfig training_trace_config(TraceProfile t) {
 }
 
 // Every engine and cluster size in a column trains from the same salt, so
-// fitting is memoized on it. Training is a pure function of the salt and
-// profile, which keeps cached and freshly-trained cells byte-identical —
-// the cache only removes duplicate work under the parallel runner, never
-// changes a fingerprint. The mutex guards only the lookup/insert of a
-// per-salt future; training runs outside the lock, so independent columns
-// train concurrently while same-column cells share one run. (Bounded: one
-// entry per (seed, workload, profile) column touched by the process.)
-template <typename Model, typename Train>
-Model memoized_model(std::map<std::uint64_t, std::shared_future<Model>>& cache,
-                     std::mutex& mu, std::uint64_t salt, Train&& train) {
-  std::promise<Model> promise;
-  std::shared_future<Model> future;
-  bool trainer = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(salt);
-    if (it == cache.end()) {
-      trainer = true;
-      future = promise.get_future().share();
-      cache.emplace(salt, future);
-    } else {
-      future = it->second;
-    }
-  }
-  if (trainer) {
-    try {
-      promise.set_value(train());
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-  }
-  return future.get();
-}
-
+// fitting is memoized on it (util::SharedMemo): training is a pure function
+// of the salt and profile, which keeps cached and freshly-trained cells
+// byte-identical, and independent columns train concurrently while
+// same-column cells share one run. (Bounded: one entry per (seed, workload,
+// profile) column touched by the process.)
 predict::ArimaModel trained_arima(std::uint64_t salt, TraceProfile t) {
-  static std::mutex mu;
-  static std::map<std::uint64_t, std::shared_future<predict::ArimaModel>>
-      cache;
-  return memoized_model(cache, mu, salt, [&] {
+  static util::SharedMemo<std::uint64_t, predict::ArimaModel> memo;
+  return memo.get(salt, [&] {
     util::Rng rng(salt);
     const auto corpus =
         workload::cloud_speed_corpus(8, 96, training_trace_config(t), rng);
@@ -158,12 +126,9 @@ predict::ArimaModel trained_arima(std::uint64_t salt, TraceProfile t) {
 
 std::shared_ptr<const predict::Lstm> trained_lstm(std::uint64_t salt,
                                                   TraceProfile t) {
-  static std::mutex mu;
-  static std::map<std::uint64_t,
-                  std::shared_future<std::shared_ptr<const predict::Lstm>>>
-      cache;
-  return memoized_model(cache, mu, salt,
-                        [&]() -> std::shared_ptr<const predict::Lstm> {
+  static util::SharedMemo<std::uint64_t, std::shared_ptr<const predict::Lstm>>
+      memo;
+  return memo.get(salt, [&]() -> std::shared_ptr<const predict::Lstm> {
     // Deliberately small (4 hidden units, short corpus, 12 epochs): the
     // model must fit a per-cell time budget under the parallel runner.
     util::Rng rng(salt);
@@ -179,6 +144,17 @@ std::shared_ptr<const predict::Lstm> trained_lstm(std::uint64_t salt,
 }
 
 }  // namespace
+
+void require_k_within_workers(const char* entry, std::size_t workers,
+                              std::size_t k) {
+  const std::size_t effective = resolve_k(workers, k);
+  if (effective > workers) {
+    throw std::invalid_argument(std::string(entry) +
+                                " needs k <= workers (k = " +
+                                std::to_string(effective) + ", workers = " +
+                                std::to_string(workers) + ")");
+  }
+}
 
 std::uint64_t engine_axis_id(StrategyKind e) {
   // Wire format: cell seeds and cell fingerprints hash this id, so the
@@ -671,6 +647,7 @@ CellResult run_cell(const ScenarioConfig& config, StrategyKind e,
   if (config.workers < 2) {
     throw std::invalid_argument("scenario matrix needs >= 2 workers");
   }
+  require_k_within_workers("scenario matrix", config.workers, config.k);
   const std::uint64_t salt = cell_seed(config.seed, e, w, t);
   const WorkloadShape shape = workload_shape(w, config);
   // Traces are salted per (workload, profile) column, NOT per engine —

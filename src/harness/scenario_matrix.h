@@ -122,6 +122,14 @@ enum class PredictorKind {
   return k != 0 ? k : (workers >= 3 ? workers - 2 : workers);
 }
 
+/// Throws std::invalid_argument("<entry> needs k <= workers (k = .., workers
+/// = ..)") unless resolve_k(workers, k) <= workers. Every harness entry
+/// point (run_cell, run_serve, run_job) checks this up front, for every
+/// strategy: the uncoded baselines never read k and would run anyway,
+/// while the coded ones would fail deep in the generator matrix.
+void require_k_within_workers(const char* entry, std::size_t workers,
+                              std::size_t k);
+
 /// A speed source built for one (workload, trace) column. `predictor` is
 /// null for PredictorKind::kOracle (engines then read the true trace speed
 /// via their oracle flag); the learned predictors are trained per column

@@ -98,6 +98,7 @@ std::string ServeResult::fingerprint() const {
 ServeResult run_serve(const ServeConfig& config) {
   S2C2_REQUIRE(config.workers >= 2, "serve needs >= 2 workers");
   S2C2_REQUIRE(config.tenants >= 1, "serve needs >= 1 tenant");
+  require_k_within_workers("serve", config.workers, config.k);
   const std::uint64_t salt = serve_salt(config.seed);
 
   // Reuse the scenario matrix's trace/cluster machinery (same calibration

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/harness/job_driver.h"
 
@@ -274,6 +278,68 @@ TEST(JobDriver, RejectsKAboveWorkersForEveryStrategy) {
         << core::strategy_name(s);
     cfg.k = 3;  // k == workers is the largest legal code
     EXPECT_FALSE(run_job(cfg).failed) << core::strategy_name(s);
+  }
+}
+
+TEST(JobDriver, SharedColumnsMatchColdBuild) {
+  // Every strategy of a (seed, app, trace) column reads one memoized
+  // operator and reference; inserting a column evicts the other apps'.
+  // Whatever the memo holds when a job starts, its result must not move:
+  // app-major order builds each column once and shares it, the reversed
+  // order hits it from the other end, and the app-interleaved order
+  // evicts before every job, so each of its jobs builds cold.
+  JobConfig other = base_config();
+  other.seed = 7;
+  other.app = JobApp::kPageRank;
+  other.max_iterations = 1;
+  (void)run_job(other);  // evicts whatever earlier tests left warm
+
+  JobConfig base = base_config();  // 12 workers
+  base.max_iterations = 6;
+  JobGrid grid;
+  grid.strategies = {StrategyKind::kS2C2, StrategyKind::kReplication};
+  std::vector<JobConfig> app_major;
+  for (const JobApp a : grid.apps) {
+    for (const StrategyKind s : grid.strategies) {
+      for (const TraceProfile t : grid.traces) {
+        JobConfig cfg = base;
+        cfg.app = a;
+        cfg.strategy = s;
+        cfg.trace = t;
+        app_major.push_back(cfg);
+      }
+    }
+  }
+  // Round-robin over the apps: consecutive jobs never share an app.
+  const std::size_t apps = grid.apps.size();
+  const std::size_t per_app = app_major.size() / apps;
+  std::vector<JobConfig> interleaved;
+  for (std::size_t i = 0; i < app_major.size(); ++i) {
+    interleaved.push_back(app_major[(i % apps) * per_app + i / apps]);
+  }
+  const std::vector<JobConfig> reversed(app_major.rbegin(), app_major.rend());
+
+  using Coord = std::tuple<JobApp, StrategyKind, TraceProfile>;
+  const auto fingerprints = [](const std::vector<JobConfig>& order) {
+    std::map<Coord, std::string> out;
+    for (const JobConfig& cfg : order) {
+      const JobResult r = run_job(cfg);
+      EXPECT_FALSE(r.failed) << r.error;
+      out[{cfg.app, cfg.strategy, cfg.trace}] = r.fingerprint();
+    }
+    return out;
+  };
+  const std::map<Coord, std::string> want = fingerprints(app_major);
+  ASSERT_EQ(want.size(), app_major.size());
+  EXPECT_EQ(fingerprints(reversed), want);
+  EXPECT_EQ(fingerprints(interleaved), want);
+
+  // Threads sharing (and evicting) columns concurrently.
+  const JobSuiteResult suite = run_job_suite(base, grid, 3);
+  ASSERT_EQ(suite.jobs.size(), app_major.size());
+  for (const JobResult& r : suite.jobs) {
+    EXPECT_EQ(r.fingerprint(), want.at({r.app, r.strategy, r.trace}))
+        << job_app_name(r.app) << "/" << core::strategy_name(r.strategy);
   }
 }
 

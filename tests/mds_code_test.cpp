@@ -1,6 +1,10 @@
 // Tests for MDS encoding of dense and sparse operators.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+
 #include "src/coding/mds_code.h"
 #include "src/util/rng.h"
 
@@ -146,10 +150,75 @@ TEST(MdsCode, EncodeWithPartitionRowsMatchesEncodingAPaddedCopy) {
   EXPECT_THROW((void)code.encode(a, 4), std::invalid_argument);
 }
 
+/// Bit patterns of a product, so +0.0 and -0.0 compare unequal.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+TEST(MdsCode, SystematicPartitionsStoreOnlyLiveRows) {
+  // 23 rows over k = 5 blocks of pr = 6: systematic block 3 has 5 live
+  // rows and block 4 none; the parity partitions mix every block.
+  util::Rng rng(23);
+  const std::size_t rows = 23, cols = 5, pr = 6, k = 5, n = 7;
+  const std::size_t live[] = {6, 6, 6, 5, 0, 6, 6};
+  const MdsCode code(n, k);
+  const linalg::Matrix a = linalg::Matrix::random_normal(rows, cols, rng);
+  linalg::Matrix padded(k * pr, cols);
+  std::vector<linalg::Triplet> trips;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      padded(r, c) = a(r, c);
+      if (rng.uniform(0.0, 1.0) < 0.5) trips.push_back({r, c, a(r, c)});
+    }
+  }
+  // Negative entries, so a stored zero row would meet -0.0 products.
+  std::vector<double> x(cols * 3);
+  for (auto& v : x) v = rng.normal();
+
+  const auto check = [&](const std::vector<EncodedPartition>& got,
+                         const std::vector<EncodedPartition>& want) {
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t w = 0; w < n; ++w) {
+      EXPECT_EQ(got[w].rows(), pr) << "worker " << w;
+      EXPECT_EQ(got[w].stored_rows(), live[w]) << "worker " << w;
+      EXPECT_EQ(want[w].stored_rows(), pr) << "worker " << w;
+      EXPECT_EQ(got[w].storage_bytes(), want[w].storage_bytes())
+          << "worker " << w;
+      for (const std::size_t width : {std::size_t{1}, std::size_t{3}}) {
+        const std::span<const double> panel(x.data(), cols * width);
+        std::vector<double> y(pr * width, -1.0), y_want(pr * width, -2.0);
+        if (width == 1) {
+          got[w].matvec_rows(0, pr, panel, y);
+        } else {
+          got[w].matmat_rows(0, pr, panel, width, y);
+        }
+        want[w].matmat_rows(0, pr, panel, width, y_want);
+        EXPECT_EQ(bits(y), bits(y_want)) << "worker " << w << " b=" << width;
+        for (std::size_t i = live[w] * width; i < y.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(y[i]), 0u)
+              << "worker " << w << " value " << i;
+        }
+        // A sub-range straddling block 3's live-row boundary.
+        std::vector<double> tail(2 * width, -1.0);
+        got[w].matmat_rows(4, 6, panel, width, tail);
+        EXPECT_EQ(bits(tail), bits(std::vector<double>(
+                                  y_want.begin() + 4 * width, y_want.end())))
+            << "worker " << w << " b=" << width;
+      }
+    }
+  };
+  check(code.encode(a, pr), code.encode(padded, pr));
+  check(code.encode(linalg::CsrMatrix(rows, cols, trips), pr),
+        code.encode(linalg::CsrMatrix(k * pr, cols, trips), pr));
+}
+
 TEST(EncodedPartition, MatvecRowsSubrange) {
   util::Rng rng(17);
   const linalg::Matrix m = linalg::Matrix::random_uniform(6, 3, rng);
-  const EncodedPartition part{linalg::Matrix(m)};
+  const EncodedPartition part{linalg::Matrix(m), m.rows()};
   linalg::Vector x{1.0, 2.0, -1.0};
   std::vector<double> out(2);
   part.matvec_rows(2, 4, x, out);

@@ -398,5 +398,30 @@ TEST(ScenarioMatrix, RejectsDegenerateClusters) {
                std::invalid_argument);
 }
 
+TEST(ScenarioMatrix, RejectsKAboveWorkers) {
+  // Replication never reads k, so without the up-front check its cell
+  // would run anyway, while a coded cell fails inside the generator
+  // matrix with a precondition message instead of the harness's own.
+  ScenarioConfig cfg = small_config();  // 12 workers
+  cfg.k = 13;
+  for (const StrategyKind e :
+       {StrategyKind::kS2C2, StrategyKind::kReplication}) {
+    try {
+      (void)run_cell(cfg, e, WorkloadKind::kLogisticRegression,
+                     TraceProfile::kControlledStragglers);
+      ADD_FAILURE() << core::strategy_name(e) << " ran with k > workers";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_STREQ(ex.what(),
+                   "scenario matrix needs k <= workers (k = 13, workers = 12)")
+          << core::strategy_name(e);
+    }
+  }
+  cfg.k = 12;  // k == workers is the largest legal code
+  EXPECT_FALSE(run_cell(cfg, StrategyKind::kReplication,
+                        WorkloadKind::kLogisticRegression,
+                        TraceProfile::kControlledStragglers)
+                   .failed);
+}
+
 }  // namespace
 }  // namespace s2c2::harness

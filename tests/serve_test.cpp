@@ -187,5 +187,25 @@ TEST(Serve, BatchingAmortizesDecodeCostPerRequest) {
   EXPECT_LT(per_req_batched, per_req_single);
 }
 
+TEST(Serve, RejectsKAboveWorkers) {
+  // Same up-front check as the scenario matrix and the job driver: the
+  // uncoded baseline would otherwise serve with a k it never reads.
+  for (const StrategyKind s :
+       {StrategyKind::kS2C2, StrategyKind::kReplication}) {
+    ServeConfig c = small_config();  // 8 workers
+    c.strategy = s;
+    c.k = 9;
+    try {
+      (void)run_serve(c);
+      ADD_FAILURE() << core::strategy_name(s) << " served with k > workers";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_STREQ(ex.what(), "serve needs k <= workers (k = 9, workers = 8)")
+          << core::strategy_name(s);
+    }
+    c.k = 8;  // k == workers is the largest legal code
+    EXPECT_EQ(run_serve(c).completed, c.requests) << core::strategy_name(s);
+  }
+}
+
 }  // namespace
 }  // namespace s2c2::harness
