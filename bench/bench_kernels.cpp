@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the numeric kernels and the
-// scheduler hot paths: dense/sparse matvec, MDS encode, per-chunk vs
-// chunk-run worker products, chunked decode, LU solve, allocation, and
-// the LSTM step used each iteration.
+// scheduler hot paths: dense/sparse matvec, a dense panel product vs one
+// matvec per panel column, MDS encode, per-chunk vs chunk-run worker
+// products, chunked decode, LU solve, allocation, and the LSTM step used
+// each iteration.
 #include <benchmark/benchmark.h>
 
 #include "src/coding/chunked_decoder.h"
@@ -30,6 +31,40 @@ void BM_DenseMatvec(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_DenseMatvec)->Arg(128)->Arg(512)->Arg(1024);
+
+// One dense panel product (percol = 0) against `width` matvecs, one per
+// panel column (percol = 1), on the serve-b16 shapes: 1600 x 512 x 16 is
+// the serve verification of a full block, 17 x 512 x 16 one partition's
+// chunk run. Both forms produce the same bits.
+void BM_DenseMatmat(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const bool percol = state.range(1) == 1;
+  const std::size_t cols = 512, width = 16;
+  util::Rng rng(9);
+  const auto a = linalg::Matrix::random_uniform(rows, cols, rng);
+  const auto x = linalg::Matrix::random_uniform(cols, width, rng);
+  std::vector<linalg::Vector> xcols(width, linalg::Vector(cols));
+  for (std::size_t j = 0; j < width; ++j) {
+    for (std::size_t c = 0; c < cols; ++c) xcols[j][c] = x(c, j);
+  }
+  linalg::Vector y(rows * width);
+  for (auto _ : state) {
+    if (percol) {
+      for (std::size_t j = 0; j < width; ++j) {
+        a.matvec_into(xcols[j],
+                      std::span<double>(y).subspan(j * rows, rows));
+      }
+    } else {
+      a.matmat_into(x.data(), width, y);
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * cols * width));
+}
+BENCHMARK(BM_DenseMatmat)
+    ->ArgsProduct({{1600, 17}, {0, 1}})
+    ->ArgNames({"rows", "percol"});
 
 void BM_SparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -132,7 +132,7 @@ struct ServeResult {
 
   /// Functional verification: max |served column - direct matvec| over
   /// every product the strategy returned (0 when cost-only or the
-  /// strategy returns no product).
+  /// strategy returns no product; +infinity if a served entry is NaN).
   double max_error = 0.0;
   std::size_t products_verified = 0;
 

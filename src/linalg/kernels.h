@@ -10,12 +10,16 @@
 // *different* elements' chains — 4 output rows at once for matvec
 // (independent accumulators break the add-latency dependence chain the
 // naive kernel serializes on), 2 rows x 8 RHS columns for matmat (one
-// pass over the row instead of `width`, with the column tile contiguous
-// in the panel so the compiler vectorizes across RHS columns). Since
-// baseline x86-64 codegen has no FMA contraction and gcc does not
-// reassociate FP sums without -ffast-math, the results are bitwise
+// pass over the row pair instead of `width`). The matmat tile is written
+// with GCC/Clang vector types: 8 named 2-lane accumulators, one per
+// (row, column pair), which the compiler keeps in registers. Plain
+// fixed-length loops over `double acc[8]` arrays do not stay there: gcc 12
+// -O3 vectorizes them across the row pair, keeps all 16 accumulators on
+// the stack, and runs no faster than `width` matvecs. Each lane is
+// a separate multiply then add (never an FMA), and gcc does not
+// reassociate FP sums without -ffast-math, so the results are bitwise
 // identical to the naive reference — tests/kernel_equivalence_test.cpp
-// holds every kernel to EXPECT_EQ on doubles.
+// holds every kernel to it, special values included.
 //
 // The kernels are serial and pure, so concurrent calls on shared inputs
 // are safe and bit-identical. Intra-round parallelism lives one level up,
@@ -25,13 +29,8 @@
 
 #include <cstddef>
 
-#if defined(__GNUC__) || defined(__clang__)
+// GCC and Clang only (kernels.cpp uses their vector types too).
 #define S2C2_RESTRICT __restrict__
-#elif defined(_MSC_VER)
-#define S2C2_RESTRICT __restrict
-#else
-#define S2C2_RESTRICT
-#endif
 
 namespace s2c2::linalg::kernels {
 

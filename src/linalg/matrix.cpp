@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/linalg/kernels.h"
 #include "src/util/require.h"
@@ -138,11 +139,7 @@ double Matrix::frobenius_norm() const {
 double Matrix::max_abs_diff(const Matrix& b) const {
   S2C2_REQUIRE(rows_ == b.rows_ && cols_ == b.cols_,
                "max_abs_diff: shape mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::abs(data_[i] - b.data_[i]));
-  }
-  return m;
+  return linalg::max_abs_diff(data_, b.data_);
 }
 
 Matrix Matrix::vstack(std::span<const Matrix> blocks) {
@@ -181,7 +178,10 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   S2C2_REQUIRE(a.size() == b.size(), "max_abs_diff: size mismatch");
   double m = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a[i] - b[i]));
+    const double d = std::abs(a[i] - b[i]);
+    // std::max(m, NaN) is m: a NaN product would read as a perfect match.
+    if (std::isnan(d)) return std::numeric_limits<double>::infinity();
+    m = std::max(m, d);
   }
   return m;
 }

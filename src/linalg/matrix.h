@@ -105,7 +105,8 @@ class Matrix {
 
   [[nodiscard]] double frobenius_norm() const;
 
-  /// Max |a_ij - b_ij|; shapes must match.
+  /// Max |a_ij - b_ij|; shapes must match. A NaN difference reads as
+  /// +infinity, so a NaN product fails every `error < tol` check.
   [[nodiscard]] double max_abs_diff(const Matrix& b) const;
 
   /// Stacks blocks vertically; all blocks must share cols().
@@ -126,6 +127,7 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 [[nodiscard]] double norm2(std::span<const double> x);
 
+/// Max |a_i - b_i|; sizes must match. NaN differences read as +infinity.
 [[nodiscard]] double max_abs_diff(std::span<const double> a,
                                   std::span<const double> b);
 

@@ -22,6 +22,7 @@
 
 #include "src/harness/job_driver.h"
 #include "src/harness/matrix_runner.h"
+#include "src/harness/serve.h"
 
 namespace s2c2 {
 namespace {
@@ -53,6 +54,11 @@ constexpr char kRobustnessSliceGolden[] = "3e346d8dabd7ba5e";
 // functional path (threshold collection, peel decode, per-round
 // redundancy) while the PR 5/6 goldens above must stay byte-identical.
 constexpr char kLtAgcSliceGolden[] = "21727bca44e20aec";
+// Pinned before the register-tiled matmat kernel, seed 42: coalesced s2c2
+// block rounds of every width up to 16 on volatile traces, so the block
+// kernels, the block decode and the serve verification are all hashed
+// (each outcome plus max_error).
+constexpr char kServeBlockRoundsGolden[] = "77490a728f1d511b";
 
 harness::ScenarioConfig base_config() {
   harness::ScenarioConfig cfg;  // workers 12, k n-2, rounds 6, seed 42
@@ -123,6 +129,32 @@ TEST(FingerprintGuard, LtAgcSliceMatrix) {
     EXPECT_LT(cell.max_decode_error, 1e-9);
   }
   EXPECT_EQ(m.fingerprint(), kLtAgcSliceGolden);
+}
+
+// A functional s2c2 serve run whose coalesced rounds span widths below and
+// above the 8-column tile (ragged tails included). One row per chunk and
+// an odd operator height make odd-length chunk runs and an odd verified
+// product, so the one-row remainder tile runs too.
+TEST(FingerprintGuard, ServeBlockRounds) {
+  harness::ServeConfig cfg;  // workers 12, k n-2, seed 42
+  cfg.trace = harness::TraceProfile::kVolatileCloud;
+  cfg.requests = 160;
+  cfg.load_factor = 2.0;
+  cfg.max_batch = 16;
+  cfg.op_rows = 251;  // 26-row partitions, 17 live rows in the last one
+  cfg.op_cols = 40;
+  cfg.chunks_per_partition = 26;
+  const harness::ServeResult r = harness::run_serve(cfg);
+  std::size_t narrow = 0, full = 0;
+  for (const harness::RequestOutcome& o : r.outcomes) {
+    narrow += o.width < 8 ? 1 : 0;
+    full += o.width == 16 ? 1 : 0;
+  }
+  EXPECT_GT(narrow, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_EQ(r.products_verified, r.completed);
+  EXPECT_LT(r.max_error, 1e-9);
+  EXPECT_EQ(r.fingerprint(), kServeBlockRoundsGolden);
 }
 
 // The full default job-driver suite (4 apps x 4 strategies x

@@ -8,14 +8,19 @@
 // ascending-column (dense) or CSR-storage (sparse) order.
 //
 // Coverage: randomized shapes straddling every tile boundary (row tile 4
-// for matvec, 2 x 8 for matmat), odd and degenerate sizes, unaligned
-// row-pointer offsets (sub-range entry points as EncodedPartition uses
-// them), dense matvec/matmat and CSR matvec/matmat, the Matrix/CsrMatrix
-// wrappers, and concurrent kernel invocations across parameterized thread
-// counts (results must be identical at any --jobs).
+// for matvec, 2 x 8 for matmat), odd and degenerate sizes, IEEE special
+// values (signed zeros, subnormals, infinities, NaN) compared by bit
+// pattern, unaligned row-pointer offsets (sub-range entry points as
+// EncodedPartition uses them), dense matvec/matmat and CSR matvec/matmat,
+// the Matrix/CsrMatrix wrappers, and concurrent kernel invocations across
+// parameterized thread counts (results must be identical at any --jobs).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/linalg/kernels.h"
@@ -119,10 +124,41 @@ CsrMatrix random_csr(std::size_t rows, std::size_t cols, double density,
 struct Shape {
   std::size_t rows, cols;
 };
-const Shape kShapes[] = {{1, 1},  {1, 7},   {3, 5},   {4, 4},  {5, 9},
-                         {7, 16}, {8, 8},   {9, 1},   {13, 3}, {16, 17},
-                         {31, 8}, {32, 33}, {63, 24}, {64, 5}};
-const std::size_t kWidths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17};
+// {17, 512} is one engine partition's chunk run in the serve-b16 shape.
+const Shape kShapes[] = {{1, 1},    {1, 7},  {3, 5},   {4, 4},   {5, 9},
+                         {7, 16},   {8, 8},  {9, 1},   {13, 3},  {16, 17},
+                         {17, 512}, {31, 8}, {32, 33}, {63, 24}, {64, 5}};
+const std::size_t kWidths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 32};
+
+// A double's bit pattern, with every NaN folded to one: NaN payloads and
+// signs depend on operand order inside the FPU, and no caller reads them.
+std::uint64_t bits_nan_folded(double v) {
+  return std::isnan(v) ? 0x7ff8000000000000ull
+                       : std::bit_cast<std::uint64_t>(v);
+}
+
+// random_values with IEEE corner cases mixed in: signed zeros and
+// subnormals in ~1 entry of 5, and about one infinity or NaN per `chain`
+// entries, so a length-`chain` dot product may come out finite, infinite
+// or NaN.
+std::vector<double> special_values(std::size_t n, std::size_t chain,
+                                   util::Rng& rng) {
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double finite[] = {0.0, -0.0, kDenorm, -kDenorm, 1e-310, -3e-320};
+  const double nonfinite[] = {kInf, -kInf,
+                              std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> v = random_values(n, rng);
+  for (double& e : v) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.2) {
+      e = finite[rng.uniform_int(0, 5)];
+    } else if (u < 0.2 + 1.0 / static_cast<double>(chain)) {
+      e = nonfinite[rng.uniform_int(0, 2)];
+    }
+  }
+  return v;
+}
 
 TEST(KernelEquivalence, DenseMatvecBitwiseMatchesNaive) {
   util::Rng rng(0xA11CE);
@@ -155,6 +191,42 @@ TEST(KernelEquivalence, DenseMatmatBitwiseMatchesNaive) {
       }
     }
   }
+}
+
+TEST(KernelEquivalence, DenseMatmatSpecialValuesMatchNaiveBitPatterns) {
+  // Vector lanes must round, overflow and propagate exactly like the scalar
+  // chain: -0.0 vs +0.0, subnormal sums, inf - inf and NaN all compared by
+  // bit pattern (EXPECT_EQ on doubles would miss a signed-zero change).
+  util::Rng rng(0x5EC1A1);
+  const Shape shapes[] = {{1, 9}, {3, 40}, {5, 17}, {17, 512}, {33, 64}};
+  std::size_t nan_out = 0, inf_out = 0, subnormal_out = 0;
+  for (const Shape s : shapes) {
+    std::vector<double> a = special_values(s.rows * s.cols, s.cols, rng);
+    // Every third row is scaled into the subnormal range, so its products
+    // underflow gradually and its finite sums stay subnormal.
+    for (std::size_t r = 1; r < s.rows; r += 3) {
+      for (std::size_t c = 0; c < s.cols; ++c) a[r * s.cols + c] *= 1e-318;
+    }
+    for (const std::size_t w : {2u, 7u, 8u, 9u, 16u, 24u, 32u}) {
+      const std::vector<double> x = special_values(s.cols * w, s.cols, rng);
+      std::vector<double> y(s.rows * w, -1.0);
+      kernels::dense_matmat(a.data(), s.rows, s.cols, x.data(), w, y.data());
+      const std::vector<double> ref =
+          naive_dense_matmat(a.data(), s.rows, s.cols, x.data(), w);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        EXPECT_EQ(bits_nan_folded(y[i]), bits_nan_folded(ref[i]))
+            << s.rows << "x" << s.cols << " b=" << w << " i=" << i << ": "
+            << y[i] << " vs " << ref[i];
+        nan_out += std::isnan(ref[i]) ? 1 : 0;
+        inf_out += std::isinf(ref[i]) ? 1 : 0;
+        subnormal_out += std::fpclassify(ref[i]) == FP_SUBNORMAL ? 1 : 0;
+      }
+    }
+  }
+  // The draw must actually reach every class it claims to cover.
+  EXPECT_GT(nan_out, 0u);
+  EXPECT_GT(inf_out, 0u);
+  EXPECT_GT(subnormal_out, 0u);
 }
 
 TEST(KernelEquivalence, MatmatColumnsMatchMatvecOfPanelColumns) {

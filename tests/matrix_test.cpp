@@ -1,6 +1,7 @@
 // Unit tests for the dense linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/linalg/matrix.h"
@@ -142,6 +143,29 @@ TEST(VectorOps, MaxAbsDiff) {
   const Vector a{1, 2};
   const Vector b{1.5, 1.0};
   EXPECT_DOUBLE_EQ(max_abs_diff(a, b), 1.0);
+}
+
+TEST(Matrix, MaxAbsDiffTreatsNaNAsInfinite) {
+  // A NaN anywhere in a product must fail every `error < tol` check that
+  // reads this result, on both overloads and wherever the NaN sits.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vector good{1.0, 2.0, 3.0};
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    Vector bad = good;
+    bad[i] = nan;
+    EXPECT_EQ(max_abs_diff(bad, good), inf) << "vector, NaN at " << i;
+    EXPECT_EQ(max_abs_diff(good, bad), inf) << "vector, NaN at " << i;
+    const Matrix a(1, 3, good);
+    const Matrix b(1, 3, bad);
+    EXPECT_EQ(a.max_abs_diff(b), inf) << "matrix, NaN at " << i;
+    EXPECT_EQ(b.max_abs_diff(a), inf) << "matrix, NaN at " << i;
+  }
+  // inf - inf is NaN too: two infinite products are not a match.
+  EXPECT_EQ(max_abs_diff(Vector{inf}, Vector{inf}), inf);
+  // Finite results do not move.
+  EXPECT_EQ(max_abs_diff(good, Vector{1.0, 2.5, 3.0}), 0.5);
+  EXPECT_EQ(Matrix(1, 3, good).max_abs_diff(Matrix(1, 3, good)), 0.0);
 }
 
 TEST(VectorOps, SigmoidBounds) {

@@ -103,6 +103,32 @@ TEST(Serve, UncodedBaselineForwardsExactProducts) {
   EXPECT_EQ(r.max_error, 0.0);
 }
 
+TEST(Serve, FullWidthBlocksVerifyEveryColumn) {
+  // Width-16 rounds run the 2 x 8 matmat tile twice: in the engine's chunk
+  // runs and in the one-product check of the round. Replication forwards
+  // the same kernel's product, so its check must read exactly 0.
+  for (const StrategyKind s :
+       {StrategyKind::kS2C2, StrategyKind::kReplication}) {
+    ServeConfig c = small_config();
+    c.strategy = s;
+    c.requests = 64;
+    c.load_factor = 24.0;
+    c.max_batch = 16;
+    const ServeResult r = run_serve(c);
+    std::size_t max_width = 0;
+    for (const RequestOutcome& o : r.outcomes) {
+      max_width = std::max(max_width, o.width);
+    }
+    EXPECT_EQ(max_width, 16u) << core::strategy_name(s);
+    EXPECT_EQ(r.products_verified, c.requests) << core::strategy_name(s);
+    if (s == StrategyKind::kReplication) {
+      EXPECT_EQ(r.max_error, 0.0);
+    } else {
+      EXPECT_LT(r.max_error, 1e-7);
+    }
+  }
+}
+
 TEST(Serve, DeadlineRejectsStaleRequests) {
   ServeConfig c = small_config();
   c.load_factor = 40.0;  // far past saturation: queues outrun the server
