@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -359,8 +360,15 @@ double DecodeContext::redundant_residual(std::span<const std::size_t> subset,
                "redundant_residual: subset must be sorted and distinct");
   if (subset.size() == k_) return 0.0;  // no redundancy to check
 
+  // std::max drops a NaN operand, and an infinite value makes the scaled
+  // residual inf / inf = NaN: either way a non-finite response would pass
+  // as clean, so it reads as an infinite residual instead.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   double scale = 1.0;
-  for (const double v : rhs) scale = std::max(scale, std::abs(v));
+  for (const double v : rhs) {
+    if (!std::isfinite(v)) return kInf;
+    scale = std::max(scale, std::abs(v));
+  }
 
   // Decode from the first k responders on a scratch copy (solve_inplace
   // leaves the unknown blocks in block order, which is exactly what the
@@ -389,7 +397,9 @@ double DecodeContext::redundant_residual(std::span<const std::size_t> subset,
           predicted = predicted * x + scratch_verify_[b * width + c];
         }
       }
-      max_residual = std::max(max_residual, std::abs(predicted - sent[c]));
+      const double residual = std::abs(predicted - sent[c]);
+      if (std::isnan(residual)) return kInf;
+      max_residual = std::max(max_residual, residual);
     }
   }
   return max_residual / scale;

@@ -162,7 +162,8 @@ class DecodeContext {
   /// the code rows of the remaining r - k responders and compare against
   /// the values they actually sent. Returns the max abs residual over the
   /// redundant rows, relative to max(1, largest |value| supplied) — 0 when
-  /// r == k (no redundancy, nothing to check). A clean responder set
+  /// r == k (no redundancy, nothing to check), +infinity when a value is
+  /// not finite or a residual is NaN. A clean responder set
   /// yields residuals at solver-roundoff level (< 1e-9 for the harness
   /// sizes); ANY corruption among the r rows perturbs it almost surely.
   /// `rhs` is r x width row-major in subset order and is not modified.

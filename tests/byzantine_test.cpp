@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -137,6 +138,28 @@ TEST(ByzantineVerify, SingleCorruptedResponderConvictedEverywhere) {
       const auto resp = dec.responders(c);
       EXPECT_EQ(std::count(resp.begin(), resp.end(), 2u), 0) << "chunk " << c;
     }
+    f.expect_exact_decode(dec);
+  }
+}
+
+// A NaN response is corruption too: std::max would drop a NaN residual
+// and pass the chunk as clean, so the check must read it as infinite.
+TEST(ByzantineVerify, NaNParityResponseConvicted) {
+  for (const ParityKind kind :
+       {ParityKind::kVandermonde, ParityKind::kGaussian}) {
+    Fixture f(6, 4, 8, 4, kind, 19);
+    ChunkedDecoder dec(f.code.generator(), 2, 2, 1);
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::size_t w = 0; w < 6; ++w) {
+        std::vector<double> values = f.chunk_values(w, c, 1, false);
+        if (w == 5) values[0] = std::numeric_limits<double>::quiet_NaN();
+        dec.add_chunk_result(w, c, values);
+      }
+    }
+    const ChunkVerification v = dec.verify_chunks(kTol);
+    EXPECT_EQ(v.corrupt_workers, (std::vector<std::size_t>{5}));
+    EXPECT_EQ(v.corrupted_chunks, 2u);
+    EXPECT_EQ(v.verified_chunks, 2u);
     f.expect_exact_decode(dec);
   }
 }
