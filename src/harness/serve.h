@@ -135,13 +135,17 @@ struct ServeResult {
   /// strategy returns no product; +infinity if a served entry is NaN).
   double max_error = 0.0;
   std::size_t products_verified = 0;
+  /// Every served product's exact bits, folded round by round (0 when no
+  /// product was served), so the fingerprint sees a one-ulp change.
+  std::uint64_t product_digest = 0;
 
   /// Decode-cache telemetry across the whole serve run — coalesced
   /// rounds hitting the cache is the amortization story the bench bars.
   coding::DecodeContextStats decode;
 
-  /// FNV-1a over every outcome's exact bits + decode counters; the
-  /// determinism handle (same config => same fingerprint, at any --jobs).
+  /// FNV-1a over every outcome's exact bits + decode counters, plus the
+  /// product digest when products were served; the determinism handle
+  /// (same config => same fingerprint, at any --jobs).
   [[nodiscard]] std::string fingerprint() const;
 };
 
