@@ -5,9 +5,12 @@
 // each iteration.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "src/coding/chunked_decoder.h"
 #include "src/coding/mds_code.h"
 #include "src/core/coded_job.h"
+#include "src/linalg/kernels.h"
 #include "src/linalg/lu.h"
 #include "src/linalg/sparse.h"
 #include "src/predict/lstm.h"
@@ -32,13 +35,15 @@ void BM_DenseMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatvec)->Arg(128)->Arg(512)->Arg(1024);
 
-// One dense panel product (percol = 0) against `width` matvecs, one per
-// panel column (percol = 1), on the serve-b16 shapes: 1600 x 512 x 16 is
+// One dense panel product on the tile the dispatch picked (form = 0) and
+// on the portable 2 x 8 tile (form = 1), against `width` matvecs, one per
+// panel column (form = 2), on the serve-b16 shapes: 1600 x 512 x 16 is
 // the serve verification of a full block, 17 x 512 x 16 one partition's
-// chunk run. Both forms produce the same bits.
+// chunk run. All three forms produce the same bits; the label names the
+// tile each form ran.
 void BM_DenseMatmat(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
-  const bool percol = state.range(1) == 1;
+  const auto form = state.range(1);
   const std::size_t cols = 512, width = 16;
   util::Rng rng(9);
   const auto a = linalg::Matrix::random_uniform(rows, cols, rng);
@@ -48,23 +53,33 @@ void BM_DenseMatmat(benchmark::State& state) {
     for (std::size_t c = 0; c < cols; ++c) xcols[j][c] = x(c, j);
   }
   linalg::Vector y(rows * width);
+  const auto dispatched = linalg::kernels::dispatched_matmat_tile();
+  const auto portable = linalg::kernels::MatmatTile::kPortable;
   for (auto _ : state) {
-    if (percol) {
+    if (form == 2) {
       for (std::size_t j = 0; j < width; ++j) {
         a.matvec_into(xcols[j],
                       std::span<double>(y).subspan(j * rows, rows));
       }
     } else {
-      a.matmat_into(x.data(), width, y);
+      linalg::kernels::dense_matmat_on(form == 0 ? dispatched : portable,
+                                       a.data().data(), rows, cols,
+                                       x.data().data(), width, y.data());
     }
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(form == 2 ? "16 matvecs"
+                 : form == 0
+                     ? std::string("dispatched ") +
+                           linalg::kernels::matmat_tile_name(dispatched)
+                     : linalg::kernels::matmat_tile_name(portable));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols * width));
 }
 BENCHMARK(BM_DenseMatmat)
-    ->ArgsProduct({{1600, 17}, {0, 1}})
-    ->ArgNames({"rows", "percol"});
+    ->ArgsProduct({{1600, 17}, {0, 1, 2}})
+    ->ArgNames({"rows", "form"});
 
 void BM_SparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

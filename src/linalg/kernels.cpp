@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/util/require.h"
+
 namespace s2c2::linalg::kernels {
 
 namespace {
@@ -122,6 +124,73 @@ inline void matmat_row1_tile(const double* S2C2_RESTRICT a0, std::size_t cols,
   store2(y0 + 6, j6);
 }
 
+#if defined(__x86_64__)
+// Four adjacent panel columns in one 32-byte ymm register. Every function
+// that takes, returns or holds a V4 is compiled for AVX2 and never for
+// FMA, so `*` and `+` lower to one vmulpd and one vaddpd: the same two
+// roundings per lane as the 2-lane tile and the scalar chain.
+typedef double V4 __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) inline V4 load4(const double* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+__attribute__((target("avx2"))) inline void store4(double* p, V4 v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+__attribute__((target("avx2"))) inline V4 splat4(double s) {
+  return V4{s, s, s, s};
+}
+
+__attribute__((target("avx2"))) inline V4 madd4(V4 acc, V4 b, V4 x) {
+  const V4 prod = b * x;
+  return acc + prod;
+}
+
+// One (4 rows) x (8 RHS columns) matmat tile on AVX2: the 2 x 8 tile's
+// scheme with twice the rows and twice the lanes. 8 named accumulators,
+// one broadcast of a_r[c] per row and two panel loads per step, shared by
+// the four rows. Each lane is the naive ascending-c sum for its element.
+__attribute__((target("avx2"))) void matmat_rows4_tile_avx2(
+    const double* S2C2_RESTRICT a, std::size_t cols,
+    const double* S2C2_RESTRICT x, std::size_t width,
+    double* S2C2_RESTRICT y) {
+  const double* S2C2_RESTRICT a0 = a;
+  const double* S2C2_RESTRICT a1 = a + cols;
+  const double* S2C2_RESTRICT a2 = a + 2 * cols;
+  const double* S2C2_RESTRICT a3 = a + 3 * cols;
+  V4 r0j0 = {}, r0j4 = {}, r1j0 = {}, r1j4 = {};
+  V4 r2j0 = {}, r2j4 = {}, r3j0 = {}, r3j4 = {};
+  for (std::size_t c = 0; c < cols; ++c) {
+    const double* S2C2_RESTRICT xc = x + c * width;
+    const V4 x0 = load4(xc), x4 = load4(xc + 4);
+    const V4 b0 = splat4(a0[c]);
+    r0j0 = madd4(r0j0, b0, x0);
+    r0j4 = madd4(r0j4, b0, x4);
+    const V4 b1 = splat4(a1[c]);
+    r1j0 = madd4(r1j0, b1, x0);
+    r1j4 = madd4(r1j4, b1, x4);
+    const V4 b2 = splat4(a2[c]);
+    r2j0 = madd4(r2j0, b2, x0);
+    r2j4 = madd4(r2j4, b2, x4);
+    const V4 b3 = splat4(a3[c]);
+    r3j0 = madd4(r3j0, b3, x0);
+    r3j4 = madd4(r3j4, b3, x4);
+  }
+  store4(y, r0j0);
+  store4(y + 4, r0j4);
+  store4(y + width, r1j0);
+  store4(y + width + 4, r1j4);
+  store4(y + 2 * width, r2j0);
+  store4(y + 2 * width + 4, r2j4);
+  store4(y + 3 * width, r3j0);
+  store4(y + 3 * width + 4, r3j4);
+}
+#endif
+
 // Ragged column tail (width % kMatmatColTile): variable-length inner
 // loop, same chains.
 inline void matmat_row1_tail(const double* S2C2_RESTRICT a0, std::size_t cols,
@@ -135,8 +204,6 @@ inline void matmat_row1_tail(const double* S2C2_RESTRICT a0, std::size_t cols,
   }
   for (std::size_t j = 0; j < jw; ++j) y0[j] = acc[j];
 }
-
-
 
 // Tiled CSR panel rows: one pass over the row's nonzeros per column tile
 // of 8 (instead of one pass per RHS column), gathers amortized across
@@ -182,6 +249,22 @@ void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
   matvec_rows_tail(a + r * cols, rows - r, cols, x, y + r);
 }
 
+MatmatTile dispatched_matmat_tile() {
+  // Function-local static: one CPU check per process, thread-safe.
+  static const MatmatTile tile = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) return MatmatTile::kAvx2;
+#endif
+    return MatmatTile::kPortable;
+  }();
+  return tile;
+}
+
+const char* matmat_tile_name(MatmatTile tile) {
+  return tile == MatmatTile::kAvx2 ? "avx2 4x8" : "portable 2x8";
+}
+
 void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
                   std::size_t cols, const double* S2C2_RESTRICT x,
                   std::size_t width, double* S2C2_RESTRICT y) {
@@ -191,7 +274,38 @@ void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
     dense_matvec(a, rows, cols, x, y);
     return;
   }
+  dense_matmat_on(dispatched_matmat_tile(), a, rows, cols, x, width, y);
+}
+
+void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
+                     std::size_t rows, std::size_t cols,
+                     const double* S2C2_RESTRICT x, std::size_t width,
+                     double* S2C2_RESTRICT y) {
+  S2C2_REQUIRE(tile == MatmatTile::kPortable ||
+                   tile == dispatched_matmat_tile(),
+               "dense_matmat_on: this CPU cannot run the AVX2 tile");
+  // Row blocks of 4 on the AVX2 tile when `tile` says so, then row pairs
+  // and the odd row on the portable tiles, each with the scalar tail for
+  // the width % 8 columns.
   std::size_t r = 0;
+#if defined(__x86_64__)
+  if (tile == MatmatTile::kAvx2) {
+    for (; r + kMatmatAvx2RowTile <= rows; r += kMatmatAvx2RowTile) {
+      const double* S2C2_RESTRICT a0 = a + r * cols;
+      double* S2C2_RESTRICT y0 = y + r * width;
+      std::size_t j = 0;
+      for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
+        matmat_rows4_tile_avx2(a0, cols, x + j, width, y0 + j);
+      }
+      if (j < width) {
+        for (std::size_t i = 0; i < kMatmatAvx2RowTile; ++i) {
+          matmat_row1_tail(a0 + i * cols, cols, x + j, width, width - j,
+                           y0 + i * width + j);
+        }
+      }
+    }
+  }
+#endif
   for (; r + kMatmatRowTile <= rows; r += kMatmatRowTile) {
     const double* S2C2_RESTRICT a0 = a + r * cols;
     const double* S2C2_RESTRICT a1 = a0 + cols;

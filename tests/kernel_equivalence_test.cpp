@@ -8,19 +8,25 @@
 // ascending-column (dense) or CSR-storage (sparse) order.
 //
 // Coverage: randomized shapes straddling every tile boundary (row tile 4
-// for matvec, 2 x 8 for matmat), odd and degenerate sizes, IEEE special
-// values (signed zeros, subnormals, infinities, NaN) compared by bit
-// pattern, unaligned row-pointer offsets (sub-range entry points as
+// for matvec, 2 x 8 and 4 x 8 for matmat), odd and degenerate sizes, IEEE
+// special values (signed zeros, subnormals, infinities, NaN) compared by
+// bit pattern, unaligned row-pointer offsets (sub-range entry points as
 // EncodedPartition uses them), dense matvec/matmat and CSR matvec/matmat,
 // the Matrix/CsrMatrix wrappers, and concurrent kernel invocations across
 // parameterized thread counts (results must be identical at any --jobs).
+// The dense matmat sweeps run on the dispatched entry and on each tile
+// through kernels::dense_matmat_on, so an AVX2 host still tests the
+// portable tile its dispatch hides.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/linalg/kernels.h"
@@ -30,6 +36,14 @@
 #include "src/util/thread_pool.h"
 
 namespace s2c2::linalg {
+
+namespace kernels {
+// Names a tile parameter in test listings instead of dumping its bytes.
+void PrintTo(MatmatTile tile, std::ostream* os) {
+  *os << matmat_tile_name(tile);
+}
+}  // namespace kernels
+
 namespace {
 
 // Naive references: the exact pre-kernel loops, one scalar accumulator
@@ -120,7 +134,8 @@ CsrMatrix random_csr(std::size_t rows, std::size_t cols, double density,
 }
 
 // Shapes straddling the tile boundaries (kMatvecRowTile = 4,
-// kMatmatRowTile x kMatmatColTile = 2 x 8) plus odd/degenerate sizes.
+// kMatmatRowTile x kMatmatColTile = 2 x 8, kMatmatAvx2RowTile = 4) plus
+// odd/degenerate sizes.
 struct Shape {
   std::size_t rows, cols;
 };
@@ -175,14 +190,18 @@ TEST(KernelEquivalence, DenseMatvecBitwiseMatchesNaive) {
   }
 }
 
-TEST(KernelEquivalence, DenseMatmatBitwiseMatchesNaive) {
+// A dense matmat entry point under test: the dispatched kernel or one tile.
+using MatmatFn = std::function<void(const double*, std::size_t, std::size_t,
+                                    const double*, std::size_t, double*)>;
+
+void expect_matmat_matches_naive(const MatmatFn& matmat) {
   util::Rng rng(0xB0B);
   for (const Shape s : kShapes) {
     const std::vector<double> a = random_values(s.rows * s.cols, rng);
     for (const std::size_t w : kWidths) {
       const std::vector<double> x = random_values(s.cols * w, rng);
       std::vector<double> y(s.rows * w, -1.0);
-      kernels::dense_matmat(a.data(), s.rows, s.cols, x.data(), w, y.data());
+      matmat(a.data(), s.rows, s.cols, x.data(), w, y.data());
       const std::vector<double> ref =
           naive_dense_matmat(a.data(), s.rows, s.cols, x.data(), w);
       for (std::size_t i = 0; i < y.size(); ++i) {
@@ -193,10 +212,10 @@ TEST(KernelEquivalence, DenseMatmatBitwiseMatchesNaive) {
   }
 }
 
-TEST(KernelEquivalence, DenseMatmatSpecialValuesMatchNaiveBitPatterns) {
-  // Vector lanes must round, overflow and propagate exactly like the scalar
-  // chain: -0.0 vs +0.0, subnormal sums, inf - inf and NaN all compared by
-  // bit pattern (EXPECT_EQ on doubles would miss a signed-zero change).
+// Vector lanes must round, overflow and propagate exactly like the scalar
+// chain: -0.0 vs +0.0, subnormal sums, inf - inf and NaN all compared by
+// bit pattern (EXPECT_EQ on doubles would miss a signed-zero change).
+void expect_matmat_special_values_match_naive(const MatmatFn& matmat) {
   util::Rng rng(0x5EC1A1);
   const Shape shapes[] = {{1, 9}, {3, 40}, {5, 17}, {17, 512}, {33, 64}};
   std::size_t nan_out = 0, inf_out = 0, subnormal_out = 0;
@@ -210,7 +229,7 @@ TEST(KernelEquivalence, DenseMatmatSpecialValuesMatchNaiveBitPatterns) {
     for (const std::size_t w : {2u, 7u, 8u, 9u, 16u, 24u, 32u}) {
       const std::vector<double> x = special_values(s.cols * w, s.cols, rng);
       std::vector<double> y(s.rows * w, -1.0);
-      kernels::dense_matmat(a.data(), s.rows, s.cols, x.data(), w, y.data());
+      matmat(a.data(), s.rows, s.cols, x.data(), w, y.data());
       const std::vector<double> ref =
           naive_dense_matmat(a.data(), s.rows, s.cols, x.data(), w);
       for (std::size_t i = 0; i < y.size(); ++i) {
@@ -229,15 +248,15 @@ TEST(KernelEquivalence, DenseMatmatSpecialValuesMatchNaiveBitPatterns) {
   EXPECT_GT(subnormal_out, 0u);
 }
 
-TEST(KernelEquivalence, MatmatColumnsMatchMatvecOfPanelColumns) {
-  // The cross-kernel invariant the decoder relies on: column j of a panel
-  // product is the matvec of panel column j, bit for bit.
+// The cross-kernel invariant the decoder relies on: column j of a panel
+// product is the matvec of panel column j, bit for bit.
+void expect_matmat_columns_match_matvec(const MatmatFn& matmat) {
   util::Rng rng(0xC01);
   const std::size_t rows = 23, cols = 19, width = 11;
   const std::vector<double> a = random_values(rows * cols, rng);
   const std::vector<double> x = random_values(cols * width, rng);
   std::vector<double> y(rows * width, 0.0);
-  kernels::dense_matmat(a.data(), rows, cols, x.data(), width, y.data());
+  matmat(a.data(), rows, cols, x.data(), width, y.data());
   for (std::size_t j = 0; j < width; ++j) {
     std::vector<double> xj(cols);
     for (std::size_t c = 0; c < cols; ++c) xj[c] = x[c * width + j];
@@ -248,6 +267,81 @@ TEST(KernelEquivalence, MatmatColumnsMatchMatvecOfPanelColumns) {
     }
   }
 }
+
+TEST(KernelEquivalence, DenseMatmatBitwiseMatchesNaive) {
+  expect_matmat_matches_naive(kernels::dense_matmat);
+}
+
+TEST(KernelEquivalence, DenseMatmatSpecialValuesMatchNaiveBitPatterns) {
+  expect_matmat_special_values_match_naive(kernels::dense_matmat);
+}
+
+TEST(KernelEquivalence, MatmatColumnsMatchMatvecOfPanelColumns) {
+  expect_matmat_columns_match_matvec(kernels::dense_matmat);
+}
+
+// The same sweeps on each tile by name. The dispatch runs one tile per
+// host, so without these an AVX2 host would never test the portable tile.
+class MatmatTileTest : public ::testing::TestWithParam<kernels::MatmatTile> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == kernels::MatmatTile::kAvx2 &&
+        kernels::dispatched_matmat_tile() != kernels::MatmatTile::kAvx2) {
+      GTEST_SKIP() << "this CPU lacks AVX2: the avx2 4x8 tile cannot run";
+    }
+  }
+
+  MatmatFn matmat() const {
+    return [tile = GetParam()](const double* a, std::size_t rows,
+                               std::size_t cols, const double* x,
+                               std::size_t width, double* y) {
+      kernels::dense_matmat_on(tile, a, rows, cols, x, width, y);
+    };
+  }
+};
+
+TEST_P(MatmatTileTest, BitwiseMatchesNaive) {
+  expect_matmat_matches_naive(matmat());
+}
+
+TEST_P(MatmatTileTest, SpecialValuesMatchNaiveBitPatterns) {
+  expect_matmat_special_values_match_naive(matmat());
+}
+
+TEST_P(MatmatTileTest, ColumnsMatchMatvecOfPanelColumns) {
+  expect_matmat_columns_match_matvec(matmat());
+}
+
+TEST_P(MatmatTileTest, RowAndColumnRemaindersMatchNaive) {
+  // Rows 1-9 put every rows % 4 and rows % 2 remainder after a 4-row
+  // block; the widths put every width % 8 tail beside the 8-column tile.
+  util::Rng rng(0x4A8);
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (const std::size_t w : {8u, 9u, 15u, 16u, 17u, 24u, 32u}) {
+      const std::size_t cols = 13;
+      const std::vector<double> a = random_values(rows * cols, rng);
+      const std::vector<double> x = random_values(cols * w, rng);
+      std::vector<double> y(rows * w, -1.0);
+      matmat()(a.data(), rows, cols, x.data(), w, y.data());
+      const std::vector<double> ref =
+          naive_dense_matmat(a.data(), rows, cols, x.data(), w);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        EXPECT_EQ(y[i], ref[i]) << rows << "x" << cols << " b=" << w
+                                << " i=" << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiles, MatmatTileTest,
+    ::testing::Values(kernels::MatmatTile::kPortable,
+                      kernels::MatmatTile::kAvx2),
+    [](const ::testing::TestParamInfo<kernels::MatmatTile>& info) {
+      return std::string(info.param == kernels::MatmatTile::kAvx2
+                             ? "avx2"
+                             : "portable");
+    });
 
 TEST(KernelEquivalence, CsrMatvecBitwiseMatchesNaiveIncludingSubRanges) {
   util::Rng rng(0xD0C);
@@ -359,20 +453,16 @@ TEST_P(KernelThreadedTest, ConcurrentInvocationsAreBitIdentical) {
   // The kernels are pure functions of their inputs; hammering one shared
   // operator from `jobs` threads at once must reproduce the serial result
   // bit for bit in every slot — the determinism contract the harness
-  // relies on at any --jobs.
+  // relies on at any --jobs. The parallel pass runs first, so in a fresh
+  // process several threads reach dense_matmat's one-time CPU check at
+  // once; width 16 and 33 rows run the 8-column tiles on 4-row blocks.
   const std::size_t jobs = GetParam();
   util::Rng rng(0xBEEF);
-  const std::size_t rows = 33, cols = 27, width = 6;
+  const std::size_t rows = 33, cols = 27, width = 16;
   const std::vector<double> a = random_values(rows * cols, rng);
   std::vector<std::vector<double>> inputs;
   for (int i = 0; i < 24; ++i) {
     inputs.push_back(random_values(cols * width, rng));
-  }
-  std::vector<std::vector<double>> serial(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    serial[i].assign(rows * width, 0.0);
-    kernels::dense_matmat(a.data(), rows, cols, inputs[i].data(), width,
-                          serial[i].data());
   }
   std::vector<std::vector<double>> parallel(inputs.size());
   util::parallel_for(inputs.size(), jobs, [&](std::size_t i) {
@@ -380,6 +470,12 @@ TEST_P(KernelThreadedTest, ConcurrentInvocationsAreBitIdentical) {
     kernels::dense_matmat(a.data(), rows, cols, inputs[i].data(), width,
                           parallel[i].data());
   });
+  std::vector<std::vector<double>> serial(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    serial[i].assign(rows * width, 0.0);
+    kernels::dense_matmat(a.data(), rows, cols, inputs[i].data(), width,
+                          serial[i].data());
+  }
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "input " << i;
   }
