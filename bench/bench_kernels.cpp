@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "src/coding/chunked_decoder.h"
 #include "src/coding/mds_code.h"
@@ -21,6 +22,16 @@ namespace {
 
 using namespace s2c2;
 
+constexpr linalg::kernels::MatmatTile kTiles[] = {
+    linalg::kernels::MatmatTile::kPortable, linalg::kernels::MatmatTile::kAvx2,
+    linalg::kernels::MatmatTile::kAvx512};
+
+// A tile's short name, the first word of matmat_tile_name: "avx512".
+std::string tile_short_name(linalg::kernels::MatmatTile tile) {
+  const std::string name = linalg::kernels::matmat_tile_name(tile);
+  return name.substr(0, name.find(' '));
+}
+
 void BM_DenseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
@@ -35,16 +46,16 @@ void BM_DenseMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatvec)->Arg(128)->Arg(512)->Arg(1024);
 
-// One dense panel product on the tile the dispatch picked (form = 0) and
-// on the portable 2 x 8 tile (form = 1), against `width` matvecs, one per
-// panel column (form = 2), on the serve-b16 shapes: 1600 x 512 x 16 is
-// the serve verification of a full block, 17 x 512 x 16 one partition's
-// chunk run. All three forms produce the same bits; the label names the
-// tile each form ran.
-void BM_DenseMatmat(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto form = state.range(1);
-  const std::size_t cols = 512, width = 16;
+// One dense panel product on a named tile against `width` matvecs, one per
+// panel column, on the serve-b16 shapes: 1600 x 512 is the serve
+// verification of a full block, 17 x 512 one partition's chunk run.
+// Widths 8, 12 and 16 are one full 8-column tile, a ragged strip and one
+// full 16-column strip. Every form produces the same bits.
+// `tile` null runs the matvecs.
+void dense_matmat_case(benchmark::State& state,
+                       const linalg::kernels::MatmatTile* tile,
+                       std::size_t rows, std::size_t width) {
+  const std::size_t cols = 512;
   util::Rng rng(9);
   const auto a = linalg::Matrix::random_uniform(rows, cols, rng);
   const auto x = linalg::Matrix::random_uniform(cols, width, rng);
@@ -53,33 +64,69 @@ void BM_DenseMatmat(benchmark::State& state) {
     for (std::size_t c = 0; c < cols; ++c) xcols[j][c] = x(c, j);
   }
   linalg::Vector y(rows * width);
-  const auto dispatched = linalg::kernels::dispatched_matmat_tile();
-  const auto portable = linalg::kernels::MatmatTile::kPortable;
   for (auto _ : state) {
-    if (form == 2) {
+    if (tile == nullptr) {
       for (std::size_t j = 0; j < width; ++j) {
         a.matvec_into(xcols[j],
                       std::span<double>(y).subspan(j * rows, rows));
       }
     } else {
-      linalg::kernels::dense_matmat_on(form == 0 ? dispatched : portable,
-                                       a.data().data(), rows, cols,
+      linalg::kernels::dense_matmat_on(*tile, a.data().data(), rows, cols,
                                        x.data().data(), width, y.data());
     }
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(form == 2 ? "16 matvecs"
-                 : form == 0
-                     ? std::string("dispatched ") +
-                           linalg::kernels::matmat_tile_name(dispatched)
-                     : linalg::kernels::matmat_tile_name(portable));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols * width));
 }
-BENCHMARK(BM_DenseMatmat)
-    ->ArgsProduct({{1600, 17}, {0, 1, 2}})
-    ->ArgNames({"rows", "form"});
+
+// BM_DenseMatmat/<form>/rows:R/width:W for every tile this CPU can run, by
+// name, and for the per-column matvecs; the label names the tile the
+// dispatch picked. BM_MatmatWidthSweep/<tile>/width:W runs each SIMD tile
+// the CPU can run at every width 1-17 on 1600 x 512 (not in CI's filter).
+const bool kDenseMatmatRegistered = [] {
+  const std::string dispatched = std::string("dispatched: ") +
+      linalg::kernels::matmat_tile_name(
+          linalg::kernels::dispatched_matmat_tile());
+  const auto register_form = [&](const std::string& form,
+                                 const linalg::kernels::MatmatTile* tile) {
+    for (const std::size_t rows : {1600, 17}) {
+      for (const std::size_t width : {8, 12, 16}) {
+        benchmark::RegisterBenchmark(
+            ("BM_DenseMatmat/" + form + "/rows:" + std::to_string(rows) +
+             "/width:" + std::to_string(width))
+                .c_str(),
+            [=](benchmark::State& state) {
+              dense_matmat_case(state, tile, rows, width);
+              state.SetLabel(dispatched);
+            });
+      }
+    }
+  };
+  for (const linalg::kernels::MatmatTile& tile : kTiles) {
+    if (linalg::kernels::cpu_can_run(tile)) {
+      register_form(tile_short_name(tile), &tile);
+    }
+  }
+  register_form("matvecs", nullptr);
+  for (const linalg::kernels::MatmatTile& tile : kTiles) {
+    if (tile == linalg::kernels::MatmatTile::kPortable ||
+        !linalg::kernels::cpu_can_run(tile)) {
+      continue;
+    }
+    for (std::size_t width = 1; width <= 17; ++width) {
+      benchmark::RegisterBenchmark(
+          ("BM_MatmatWidthSweep/" + tile_short_name(tile) +
+           "/width:" + std::to_string(width))
+              .c_str(),
+          [&tile, width](benchmark::State& state) {
+            dense_matmat_case(state, &tile, 1600, width);
+          });
+    }
+  }
+  return true;
+}();
 
 void BM_SparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -154,11 +154,13 @@ ServeResult run_serve(const ServeConfig& config) {
 
   // Arrival-rate auto-calibration: one latency-only probe round on a
   // throwaway engine (the serving engine must not see the probe — its
-  // clock and decode cache belong to real rounds only).
+  // clock and decode cache belong to real rounds only). The probe is
+  // cost-only even in functional mode: its latency comes from the trace
+  // and the rows x cols cost, so encoding the operator would buy nothing.
   double rate = config.arrival_rate;
   if (rate <= 0.0) {
     const std::unique_ptr<core::StrategyEngine> probe =
-        make_serve_engine(config, spec, salt, op, rows, cols);
+        make_serve_engine(config, spec, salt, nullptr, rows, cols);
     const double probe_latency = probe->run_round().stats.latency();
     S2C2_CHECK(probe_latency > 0.0, "probe round latency must be positive");
     rate = config.load_factor / probe_latency;

@@ -1,6 +1,13 @@
 #include "src/linalg/kernels.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "src/util/require.h"
 
@@ -189,6 +196,106 @@ __attribute__((target("avx2"))) void matmat_rows4_tile_avx2(
   store4(y + 3 * width, r3j0);
   store4(y + 3 * width + 4, r3j4);
 }
+
+// Eight adjacent panel columns in one 64-byte zmm register. Every function
+// that takes, returns or holds a V8 is compiled for AVX-512F. That ISA
+// includes FMA, so only the library-wide -ffp-contract=off keeps `*` and
+// `+` one vmulpd and one vaddpd: the same two roundings per lane as the
+// other tiles.
+typedef double V8 __attribute__((vector_size(64)));
+
+__attribute__((target("avx512f"))) inline V8 splat8(double s) {
+  return V8{s, s, s, s, s, s, s, s};
+}
+
+__attribute__((target("avx512f"))) inline V8 madd8(V8 acc, V8 b, V8 x) {
+  const V8 prod = b * x;
+  return acc + prod;
+}
+
+// One (R rows) x (8 * V RHS columns) matmat tile on AVX-512: R * V
+// accumulators, one broadcast of a_r[c] per row and V panel loads per
+// step, shared by the R rows. The last zmm of each row loads and stores
+// only the lanes in `last`, so a ragged strip needs no scalar tail: masked
+// lanes load 0 and are never stored. Each stored lane is the naive
+// ascending-c sum for its element. The pragmas unroll the fixed-trip
+// loops early enough that `acc` lives in registers only; without them gcc
+// 12 also stores all 8 accumulators to the stack on every step.
+template <std::size_t R, std::size_t V>
+__attribute__((target("avx512f"))) void matmat_tile_avx512(
+    const double* S2C2_RESTRICT a, std::size_t cols,
+    const double* S2C2_RESTRICT x, std::size_t width, __mmask8 last,
+    double* S2C2_RESTRICT y) {
+  V8 acc[R][V] = {};
+  for (std::size_t c = 0; c < cols; ++c) {
+    const double* S2C2_RESTRICT xc = x + c * width;
+    V8 xv[V] = {};
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      xv[v] = _mm512_maskz_loadu_pd(v + 1 == V ? last : 0xFF, xc + 8 * v);
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const V8 b = splat8(a[r * cols + c]);
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] = madd8(acc[r][v], b, xv[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm512_mask_storeu_pd(y + r * width + 8 * v, v + 1 == V ? last : 0xFF,
+                            acc[r][v]);
+    }
+  }
+}
+
+using Avx512Tile = void (*)(const double*, std::size_t, const double*,
+                            std::size_t, __mmask8, double*);
+
+// tiles[i] runs i + 1 rows of V zmm per row: the full row block and each
+// rows % block remainder.
+template <std::size_t V, std::size_t... I>
+constexpr std::array<Avx512Tile, sizeof...(I)> avx512_tiles(
+    std::index_sequence<I...>) {
+  return {&matmat_tile_avx512<I + 1, V>...};
+}
+
+// Columns [j0, j1) in strips of `strip` (16 or 8) columns on row blocks of
+// tiles.size() rows; the last strip and the last row block may be short.
+template <std::size_t N>
+void matmat_strips_avx512(const std::array<Avx512Tile, N>& tiles,
+                          const double* a, std::size_t rows, std::size_t cols,
+                          const double* x, std::size_t width, std::size_t j0,
+                          std::size_t j1, std::size_t strip, double* y) {
+  for (std::size_t r = 0; r < rows; r += N) {
+    const Avx512Tile tile = tiles[std::min(N, rows - r) - 1];
+    for (std::size_t j = j0; j < j1; j += strip) {
+      const std::size_t lanes = std::min(strip, j1 - j) - (strip - 8);
+      tile(a + r * cols, cols, x + j, width,
+           static_cast<__mmask8>((1u << lanes) - 1), y + r * width + j);
+    }
+  }
+}
+
+// The AVX-512 row-block loop. Strips of 16 columns run on 4 x 16 tiles,
+// and so does a 9-15 column remainder, masked. A remainder of 1-8 columns
+// runs on 8 x 8 tiles instead: a half-masked 4 x 16 tile would idle half
+// its multiplies there and run slower than the AVX2 tile.
+void matmat_avx512(const double* a, std::size_t rows, std::size_t cols,
+                   const double* x, std::size_t width, double* y) {
+  static constexpr auto wide = avx512_tiles<2>(
+      std::make_index_sequence<kMatmatAvx512RowTile>{});
+  static constexpr auto narrow = avx512_tiles<1>(
+      std::make_index_sequence<2 * kMatmatAvx512RowTile>{});
+  const std::size_t rem = width % (2 * kMatmatColTile);
+  const std::size_t split = rem <= kMatmatColTile ? width - rem : width;
+  matmat_strips_avx512(wide, a, rows, cols, x, width, 0, split,
+                       2 * kMatmatColTile, y);
+  matmat_strips_avx512(narrow, a, rows, cols, x, width, split, width,
+                       kMatmatColTile, y);
+}
 #endif
 
 // Ragged column tail (width % kMatmatColTile): variable-length inner
@@ -249,20 +356,46 @@ void dense_matvec(const double* S2C2_RESTRICT a, std::size_t rows,
   matvec_rows_tail(a + r * cols, rows - r, cols, x, y + r);
 }
 
-MatmatTile dispatched_matmat_tile() {
-  // Function-local static: one CPU check per process, thread-safe.
-  static const MatmatTile tile = [] {
+bool cpu_can_run(MatmatTile tile) {
 #if defined(__x86_64__)
+  // Function-local static: one CPU check per process, thread-safe.
+  static const std::array<bool, 2> simd = [] {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return MatmatTile::kAvx2;
-#endif
-    return MatmatTile::kPortable;
+    return std::array<bool, 2>{__builtin_cpu_supports("avx2") != 0,
+                               __builtin_cpu_supports("avx512f") != 0};
   }();
+  switch (tile) {
+    case MatmatTile::kAvx2:
+      return simd[0];
+    case MatmatTile::kAvx512:
+      return simd[1];
+    case MatmatTile::kPortable:
+      break;
+  }
+  return true;
+#else
+  return tile == MatmatTile::kPortable;
+#endif
+}
+
+MatmatTile dispatched_matmat_tile() {
+  static const MatmatTile tile =
+      cpu_can_run(MatmatTile::kAvx512) ? MatmatTile::kAvx512
+      : cpu_can_run(MatmatTile::kAvx2) ? MatmatTile::kAvx2
+                                        : MatmatTile::kPortable;
   return tile;
 }
 
 const char* matmat_tile_name(MatmatTile tile) {
-  return tile == MatmatTile::kAvx2 ? "avx2 4x8" : "portable 2x8";
+  switch (tile) {
+    case MatmatTile::kAvx512:
+      return "avx512 4x16";
+    case MatmatTile::kAvx2:
+      return "avx2 4x8";
+    case MatmatTile::kPortable:
+      break;
+  }
+  return "portable 2x8";
 }
 
 void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
@@ -281,9 +414,15 @@ void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
                      std::size_t rows, std::size_t cols,
                      const double* S2C2_RESTRICT x, std::size_t width,
                      double* S2C2_RESTRICT y) {
-  S2C2_REQUIRE(tile == MatmatTile::kPortable ||
-                   tile == dispatched_matmat_tile(),
-               "dense_matmat_on: this CPU cannot run the AVX2 tile");
+  S2C2_REQUIRE(cpu_can_run(tile),
+               "dense_matmat_on: this CPU cannot run the requested tile");
+#if defined(__x86_64__)
+  // The AVX-512 tiles cover every row and column, ragged ones masked.
+  if (tile == MatmatTile::kAvx512) {
+    matmat_avx512(a, rows, cols, x, width, y);
+    return;
+  }
+#endif
   // Row blocks of 4 on the AVX2 tile when `tile` says so, then row pairs
   // and the odd row on the portable tiles, each with the scalar tail for
   // the width % 8 columns.

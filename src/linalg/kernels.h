@@ -18,17 +18,29 @@
 // the stack, and runs no faster than `width` matvecs.
 //
 // Run-time dispatch: the library builds for baseline x86-64, where the
-// 2-lane tile is SSE2. On a CPU with AVX2, dense_matmat runs row blocks
-// of 4 on a 4 x 8 tile of 8 named 4-lane (ymm) accumulators instead; the
-// rows % 4 rows and the width % 8 columns stay on the portable tiles.
-// The CPU is checked once per process (dispatched_matmat_tile), and only
-// that tile's functions are compiled for AVX2, so the binary still runs
-// on any x86-64 host and on other architectures.
+// 2-lane tile is SSE2. dense_matmat runs its row blocks on the widest of
+// three tiles the CPU supports, checked once per process
+// (dispatched_matmat_tile), in this order:
+//   - avx512 (AVX-512F): 4 rows x 16 columns in 8 zmm (8-lane)
+//     accumulators. A ragged strip of 9-15 columns masks the upper lanes;
+//     one of 1-8 columns runs on an 8 x 8 tile instead, masked too; the
+//     rows % 4 and rows % 8 rows run on the same tiles with fewer rows.
+//     No element takes a scalar path.
+//   - avx2: 4 rows x 8 columns in 8 named 4-lane (ymm) accumulators; the
+//     rows % 4 rows and the width % 8 columns stay on the portable tiles.
+//   - portable: the 2 x 8 tile on 2-lane vectors, every host.
+// Only the SIMD tiles' functions are compiled for their ISA, so the binary
+// still runs on any x86-64 host and on other architectures.
+// dense_matmat_on runs a named tile, for tests and benches.
 //
-// No FMA, anywhere: each lane is a separate multiply then add, and the
-// AVX2 functions are compiled with target("avx2"), never "fma", so no
-// compiler can contract the pair. gcc does not reassociate FP sums
-// without -ffast-math. So both tiles are bitwise identical to the naive
+// No FMA, anywhere: each lane is a separate multiply then add. The AVX2
+// functions are compiled with target("avx2"), never "fma". AVX-512F does
+// include FMA, and gcc contracts a multiply and an add into one fused
+// multiply-add even across statements. So the build turns contraction off
+// for the library and everything that links it (-ffp-contract=off in
+// CMakeLists.txt), and scripts/check_no_fma.sh fails on any fused
+// multiply-add in the built libs2c2.a. gcc does not reassociate FP sums
+// without -ffast-math. So all tiles are bitwise identical to the naive
 // reference and to each other — tests/kernel_equivalence_test.cpp holds
 // every kernel, and each tile, to it, special values included.
 //
@@ -53,18 +65,25 @@ inline constexpr std::size_t kMatmatColTile = 8;
 inline constexpr std::size_t kMatmatRowTile = 2;
 /// Row tile of the AVX2 matmat tile (also kMatmatColTile columns).
 inline constexpr std::size_t kMatmatAvx2RowTile = 4;
+/// Row tile of the AVX-512 matmat tile (2 * kMatmatColTile columns).
+inline constexpr std::size_t kMatmatAvx512RowTile = 4;
 
 /// The register tiles dense_matmat can run its row blocks on.
 enum class MatmatTile {
   kPortable,  // 2 x 8 on 2-lane vectors: every host
   kAvx2,      // 4 x 8 on 4-lane vectors: x86-64 CPUs with AVX2
+  kAvx512,    // 4 x 16 (8 x 8 for narrow strips) on 8-lane vectors: AVX-512F
 };
 
-/// The tile dense_matmat runs on this CPU: kAvx2 where the CPU supports
-/// AVX2, else kPortable. Checked on the first call, then cached.
+/// Whether this CPU can run `tile`. Checked on the first call, then cached.
+[[nodiscard]] bool cpu_can_run(MatmatTile tile);
+
+/// The tile dense_matmat runs on this CPU: the first of kAvx512, kAvx2 and
+/// kPortable that cpu_can_run.
 [[nodiscard]] MatmatTile dispatched_matmat_tile();
 
-/// A tile's name for labels and messages: "avx2 4x8" or "portable 2x8".
+/// A tile's name for labels and messages: "avx512 4x16", "avx2 4x8" or
+/// "portable 2x8".
 [[nodiscard]] const char* matmat_tile_name(MatmatTile tile);
 
 /// y[0..rows) = A * x for row-major A (rows x cols). y must not alias A/x.
@@ -81,8 +100,8 @@ void dense_matmat(const double* S2C2_RESTRICT a, std::size_t rows,
 
 /// Internal entry for tests and benches: dense_matmat's row-block loop on
 /// a named tile instead of the dispatched one, with the same bits. Width 1
-/// runs the scalar column tail here, not dense_matvec. Throws
-/// std::invalid_argument for kAvx2 on a CPU without AVX2.
+/// runs the tile's column remainder here, not dense_matvec. Throws
+/// std::invalid_argument for a tile the CPU cannot run (cpu_can_run).
 void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
                      std::size_t rows, std::size_t cols,
                      const double* S2C2_RESTRICT x, std::size_t width,

@@ -33,13 +33,14 @@ void chunk_workers_into(const Allocation& a,
   // capacity survived from earlier calls.
   out.resize(a.chunks_per_partition);
   for (auto& ws : out) ws.clear();
+  // Workers are visited in ascending order, so every list comes out sorted
+  // (a range longer than the partition repeats its worker adjacently).
   for (std::size_t w = 0; w < a.per_worker.size(); ++w) {
     const ChunkRange& r = a.per_worker[w];
     for (std::size_t i = 0; i < r.count; ++i) {
       out[(r.begin + i) % a.chunks_per_partition].push_back(w);
     }
   }
-  for (auto& ws : out) std::sort(ws.begin(), ws.end());
 }
 
 std::vector<std::vector<std::size_t>> chunk_workers(const Allocation& a) {

@@ -1,6 +1,8 @@
 // Tests for coverage analysis and LU-group coalescing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/sched/allocation.h"
 #include "src/sched/coverage.h"
 
@@ -36,6 +38,23 @@ TEST(Coverage, ChunkWorkersSorted) {
   EXPECT_EQ(per_chunk[0], (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(per_chunk[1], (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(per_chunk[2], (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(Coverage, ChunkWorkersAscendingWithWrappedDuplicates) {
+  // Worker 1's range 1, 2, 0, 1, 2 wraps and covers more chunks than the
+  // partition has, so chunks 1 and 2 list it twice; worker 2 wraps too.
+  const Allocation a = manual(3, {{1, 1}, {1, 5}, {2, 2}});
+  const auto per_chunk = chunk_workers(a);
+  EXPECT_EQ(per_chunk[0], (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(per_chunk[1], (std::vector<std::size_t>{0, 1, 1}));
+  EXPECT_EQ(per_chunk[2], (std::vector<std::size_t>{1, 1, 2}));
+  for (const auto& ws : per_chunk) {
+    EXPECT_TRUE(std::is_sorted(ws.begin(), ws.end()));
+  }
+  // The _into form reuses a larger output and gives the same lists.
+  std::vector<std::vector<std::size_t>> out(5, {9, 9});
+  chunk_workers_into(a, out);
+  EXPECT_EQ(out, per_chunk);
 }
 
 TEST(Coverage, GroupsMergeConsecutiveEqualSets) {

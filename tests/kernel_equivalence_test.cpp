@@ -8,15 +8,15 @@
 // ascending-column (dense) or CSR-storage (sparse) order.
 //
 // Coverage: randomized shapes straddling every tile boundary (row tile 4
-// for matvec, 2 x 8 and 4 x 8 for matmat), odd and degenerate sizes, IEEE
-// special values (signed zeros, subnormals, infinities, NaN) compared by
-// bit pattern, unaligned row-pointer offsets (sub-range entry points as
+// for matvec, 2 x 8, 4 x 8, 4 x 16 and 8 x 8 for matmat), odd and
+// degenerate sizes, IEEE special values (signed zeros, subnormals,
+// infinities, NaN) compared by bit pattern, unaligned row-pointer offsets (sub-range entry points as
 // EncodedPartition uses them), dense matvec/matmat and CSR matvec/matmat,
 // the Matrix/CsrMatrix wrappers, and concurrent kernel invocations across
 // parameterized thread counts (results must be identical at any --jobs).
 // The dense matmat sweeps run on the dispatched entry and on each tile
-// through kernels::dense_matmat_on, so an AVX2 host still tests the
-// portable tile its dispatch hides.
+// through kernels::dense_matmat_on, so an AVX-512 host still tests the
+// AVX2 and portable tiles its dispatch hides.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -134,8 +134,8 @@ CsrMatrix random_csr(std::size_t rows, std::size_t cols, double density,
 }
 
 // Shapes straddling the tile boundaries (kMatvecRowTile = 4,
-// kMatmatRowTile x kMatmatColTile = 2 x 8, kMatmatAvx2RowTile = 4) plus
-// odd/degenerate sizes.
+// kMatmatRowTile x kMatmatColTile = 2 x 8, kMatmatAvx2RowTile = 4, the
+// AVX-512 4 x 16 and 8 x 8 tiles) plus odd/degenerate sizes.
 struct Shape {
   std::size_t rows, cols;
 };
@@ -281,13 +281,14 @@ TEST(KernelEquivalence, MatmatColumnsMatchMatvecOfPanelColumns) {
 }
 
 // The same sweeps on each tile by name. The dispatch runs one tile per
-// host, so without these an AVX2 host would never test the portable tile.
+// host, so without these an AVX-512 host would never test the AVX2 and
+// portable tiles. A tile the CPU cannot run is skipped, not passed.
 class MatmatTileTest : public ::testing::TestWithParam<kernels::MatmatTile> {
  protected:
   void SetUp() override {
-    if (GetParam() == kernels::MatmatTile::kAvx2 &&
-        kernels::dispatched_matmat_tile() != kernels::MatmatTile::kAvx2) {
-      GTEST_SKIP() << "this CPU lacks AVX2: the avx2 4x8 tile cannot run";
+    if (!kernels::cpu_can_run(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the "
+                   << kernels::matmat_tile_name(GetParam()) << " tile";
     }
   }
 
@@ -313,21 +314,37 @@ TEST_P(MatmatTileTest, ColumnsMatchMatvecOfPanelColumns) {
 }
 
 TEST_P(MatmatTileTest, RowAndColumnRemaindersMatchNaive) {
-  // Rows 1-9 put every rows % 4 and rows % 2 remainder after a 4-row
-  // block; the widths put every width % 8 tail beside the 8-column tile.
+  // Rows 1-17 put every rows % 8, % 4 and % 2 remainder after a full row
+  // block. Widths 1-17, 24, 32 and 33 put every width % 8 tail beside the
+  // 8-column tiles and every masked lane count of the AVX-512 strips
+  // (1-8 lanes of an 8-column strip, 9-15 columns of a 16-column one)
+  // beside full strips. Each case runs once on random values and once on
+  // special values, so signed zeros, subnormals, infinities and NaN pass
+  // through the masked lanes too; results are compared by bit pattern.
   util::Rng rng(0x4A8);
-  for (std::size_t rows = 1; rows <= 9; ++rows) {
-    for (const std::size_t w : {8u, 9u, 15u, 16u, 17u, 24u, 32u}) {
-      const std::size_t cols = 13;
-      const std::vector<double> a = random_values(rows * cols, rng);
-      const std::vector<double> x = random_values(cols * w, rng);
-      std::vector<double> y(rows * w, -1.0);
-      matmat()(a.data(), rows, cols, x.data(), w, y.data());
-      const std::vector<double> ref =
-          naive_dense_matmat(a.data(), rows, cols, x.data(), w);
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        EXPECT_EQ(y[i], ref[i]) << rows << "x" << cols << " b=" << w
-                                << " i=" << i;
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 1; w <= 17; ++w) widths.push_back(w);
+  widths.insert(widths.end(), {24, 32, 33});
+  const std::size_t cols = 13;
+  for (std::size_t rows = 1; rows <= 17; ++rows) {
+    for (const std::size_t w : widths) {
+      for (const bool special : {false, true}) {
+        const std::vector<double> a =
+            special ? special_values(rows * cols, cols, rng)
+                    : random_values(rows * cols, rng);
+        const std::vector<double> x =
+            special ? special_values(cols * w, cols, rng)
+                    : random_values(cols * w, rng);
+        std::vector<double> y(rows * w, -1.0);
+        matmat()(a.data(), rows, cols, x.data(), w, y.data());
+        const std::vector<double> ref =
+            naive_dense_matmat(a.data(), rows, cols, x.data(), w);
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          EXPECT_EQ(bits_nan_folded(y[i]), bits_nan_folded(ref[i]))
+              << rows << "x" << cols << " b=" << w << " i=" << i
+              << (special ? " special" : "") << ": " << y[i] << " vs "
+              << ref[i];
+        }
       }
     }
   }
@@ -336,11 +353,12 @@ TEST_P(MatmatTileTest, RowAndColumnRemaindersMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(
     Tiles, MatmatTileTest,
     ::testing::Values(kernels::MatmatTile::kPortable,
-                      kernels::MatmatTile::kAvx2),
+                      kernels::MatmatTile::kAvx2,
+                      kernels::MatmatTile::kAvx512),
     [](const ::testing::TestParamInfo<kernels::MatmatTile>& info) {
-      return std::string(info.param == kernels::MatmatTile::kAvx2
-                             ? "avx2"
-                             : "portable");
+      // The name's first word: "portable", "avx2" or "avx512".
+      const std::string name = kernels::matmat_tile_name(info.param);
+      return name.substr(0, name.find(' '));
     });
 
 TEST(KernelEquivalence, CsrMatvecBitwiseMatchesNaiveIncludingSubRanges) {

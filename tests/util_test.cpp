@@ -2,7 +2,13 @@
 // flag parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/parse.h"
 #include "src/util/require.h"
@@ -106,6 +112,90 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+// Rng's methods on std::mt19937_64: the generator Rng used before its
+// block-generated engine, and the stream that engine must reproduce.
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(seed) {}
+  double uniform(double lo = 0.0, double hi = 1.0) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  double normal(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  double exponential(double rate) {
+    return std::exponential_distribution<double>(rate)(engine_);
+  }
+  StdRng split() { return StdRng(engine_() ^ 0x9e3779b97f4a7c15ull); }
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    std::shuffle(v.begin(), v.end(), engine_);
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+const std::uint64_t kStreamSeeds[] = {0, 1, 42, 0x5e12e1a7c0a1e5ceull,
+                                      ~0ull};
+
+TEST(Mt19937_64, StreamMatchesStdMt19937_64) {
+  for (const std::uint64_t seed : kStreamSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 ref(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) mismatches += engine() != ref();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Rng, SplitChildMatchesStdMt19937_64Child) {
+  for (const std::uint64_t seed : kStreamSeeds) {
+    Rng rng(seed);
+    StdRng ref(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.uniform(), ref.uniform());
+    Rng child = rng.split();
+    StdRng ref_child = ref.split();
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      mismatches += child.uniform() != ref_child.uniform();
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(rng.uniform(), ref.uniform()) << "seed " << seed;
+  }
+}
+
+TEST(Rng, DistributionsMatchStdMt19937_64Reference) {
+  // Interleaved so each distribution starts at every offset into the
+  // engine's 312-word blocks; doubles compared by bit pattern.
+  for (const std::uint64_t seed : kStreamSeeds) {
+    Rng rng(seed);
+    StdRng ref(seed);
+    std::vector<int> deck(50), ref_deck(50);
+    std::iota(deck.begin(), deck.end(), 0);
+    std::iota(ref_deck.begin(), ref_deck.end(), 0);
+    for (int i = 0; i < 20'000; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(-3.0, 5.0)),
+                std::bit_cast<std::uint64_t>(ref.uniform(-3.0, 5.0)));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.normal(1.0, 2.0)),
+                std::bit_cast<std::uint64_t>(ref.normal(1.0, 2.0)));
+      ASSERT_EQ(rng.bernoulli(0.3), ref.bernoulli(0.3));
+      ASSERT_EQ(rng.uniform_int(-7, 1000), ref.uniform_int(-7, 1000));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.exponential(2.5)),
+                std::bit_cast<std::uint64_t>(ref.exponential(2.5)));
+      if (i % 100 == 0) {
+        rng.shuffle(deck);
+        ref.shuffle(ref_deck);
+        ASSERT_EQ(deck, ref_deck) << "seed " << seed << " step " << i;
+      }
+    }
   }
 }
 
