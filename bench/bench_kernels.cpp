@@ -84,7 +84,8 @@ void dense_matmat_case(benchmark::State& state,
 // BM_DenseMatmat/<form>/rows:R/width:W for every tile this CPU can run, by
 // name, and for the per-column matvecs; the label names the tile the
 // dispatch picked. BM_MatmatWidthSweep/<tile>/width:W runs each SIMD tile
-// the CPU can run at every width 1-17 on 1600 x 512 (not in CI's filter).
+// the CPU can run at every width 1-17 on 1600 x 512 (CI's filter takes the
+// avx2 sweep, for the AVX2 tile's ragged column tail).
 const bool kDenseMatmatRegistered = [] {
   const std::string dispatched = std::string("dispatched: ") +
       linalg::kernels::matmat_tile_name(

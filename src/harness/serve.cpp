@@ -210,6 +210,13 @@ ServeResult run_serve(const ServeConfig& config) {
   std::vector<double> latencies;
   latencies.reserve(config.requests);
   linalg::Vector truth;  // the round's direct product, rows x width
+  // The exact check reads only `dense` and the round's panel, both fixed
+  // before the round starts, so one helper thread computes it while this
+  // thread runs the round. Cost-only runs have nothing to check, and a
+  // call inside a fan-out body (run_serve_sweep at --jobs N) must not add
+  // threads: both get a 0-worker pool, which runs round then check here.
+  util::ThreadPool overlap(
+      config.functional && !util::ThreadPool::in_worker() ? 1 : 0);
 
   while (next < reqs.size() || !queue.empty()) {
     if (queue.empty()) clock = std::max(clock, reqs[next].arrival);
@@ -244,7 +251,15 @@ ServeResult run_serve(const ServeConfig& config) {
         for (std::size_t r = 0; r < cols; ++r) panel(r, j) = x[r];
       }
     }
-    const core::RoundResult res = engine->run_round_block(panel, width);
+    if (config.functional) truth.resize(rows * width);
+    core::RoundResult res;
+    overlap.parallel_for(config.functional ? 2 : 1, [&](std::size_t i) {
+      if (i == 0) {
+        res = engine->run_round_block(panel, width);
+      } else {
+        dense.matmat_into(panel.data(), width, truth);
+      }
+    });
     const double completion = clock + res.stats.latency();
 
     for (std::size_t j = 0; j < width; ++j) {
@@ -260,11 +275,11 @@ ServeResult run_serve(const ServeConfig& config) {
 
     if (config.functional) {
       // Column j of the served product must match the direct matvec of
-      // request j's vector; one panel product computes all of them, column
-      // j bitwise the matvec (the block kernels make the served product
-      // bitwise at b=1; at b>1 the decode chain is column-independent, so
-      // the tolerance only absorbs the coded round's encode/decode
-      // arithmetic).
+      // request j's vector; one panel product (`truth`, computed beside the
+      // round) holds all of them, column j bitwise the matvec (the block
+      // kernels make the served product bitwise at b=1; at b>1 the decode
+      // chain is column-independent, so the tolerance only absorbs the
+      // coded round's encode/decode arithmetic).
       std::span<const double> got;
       if (width == 1 && res.y.has_value()) {
         got = *res.y;
@@ -274,8 +289,6 @@ ServeResult run_serve(const ServeConfig& config) {
       if (!got.empty()) {
         result.product_digest =
             mix64(result.product_digest ^ block_digest(got));
-        truth.resize(rows * width);
-        dense.matmat_into(panel.data(), width, truth);
         result.max_error =
             std::max(result.max_error, linalg::max_abs_diff(got, truth));
         result.products_verified += width;

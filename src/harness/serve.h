@@ -77,7 +77,10 @@ struct ServeConfig {
 
   /// Functional mode builds a real dense operator and verifies every
   /// returned product column against the direct matvec; cost-only mode
-  /// serves latency-only block rounds at paper scale.
+  /// serves latency-only block rounds at paper scale. The check's panel
+  /// product runs on one helper thread, overlapped with the round it
+  /// verifies; inside a fan-out body (run_serve_sweep at jobs > 1) it runs
+  /// after the round on the calling thread.
   bool functional = true;
   /// Operator shape; 0 derives a small functional default (the
   /// amortization bench passes tiny rows explicitly so factorization
@@ -151,7 +154,12 @@ struct ServeResult {
 
 /// Serves config.requests through one engine. Pure in config. Throws
 /// std::runtime_error on unrecoverable cluster failure (e.g. an uncoded
-/// strategy on the byzantine profile).
+/// strategy on the byzantine profile). In functional mode each round's
+/// exact check (the direct panel product) runs on one helper thread while
+/// the calling thread runs the round, then both join and compare. Called
+/// inside a fan-out body (util::ThreadPool::in_worker()), it starts no
+/// thread and runs round then check serially. Every result bit is the same
+/// either way.
 [[nodiscard]] ServeResult run_serve(const ServeConfig& config);
 
 /// Runs independent serve cells across `jobs` threads (0 = hardware).

@@ -197,6 +197,31 @@ __attribute__((target("avx2"))) void matmat_rows4_tile_avx2(
   store4(y + 3 * width + 4, r3j4);
 }
 
+// The 4 x 8 tile's half: (4 rows) x (4 RHS columns), for the first 4 of a
+// ragged 4-7 column remainder. One accumulator per row, one panel load per
+// step.
+__attribute__((target("avx2"))) void matmat_rows4_half_tile_avx2(
+    const double* S2C2_RESTRICT a, std::size_t cols,
+    const double* S2C2_RESTRICT x, std::size_t width,
+    double* S2C2_RESTRICT y) {
+  const double* S2C2_RESTRICT a0 = a;
+  const double* S2C2_RESTRICT a1 = a + cols;
+  const double* S2C2_RESTRICT a2 = a + 2 * cols;
+  const double* S2C2_RESTRICT a3 = a + 3 * cols;
+  V4 r0 = {}, r1 = {}, r2 = {}, r3 = {};
+  for (std::size_t c = 0; c < cols; ++c) {
+    const V4 xv = load4(x + c * width);
+    r0 = madd4(r0, splat4(a0[c]), xv);
+    r1 = madd4(r1, splat4(a1[c]), xv);
+    r2 = madd4(r2, splat4(a2[c]), xv);
+    r3 = madd4(r3, splat4(a3[c]), xv);
+  }
+  store4(y, r0);
+  store4(y + width, r1);
+  store4(y + 2 * width, r2);
+  store4(y + 3 * width, r3);
+}
+
 // Eight adjacent panel columns in one 64-byte zmm register. Every function
 // that takes, returns or holds a V8 is compiled for AVX-512F. That ISA
 // includes FMA, so only the library-wide -ffp-contract=off keeps `*` and
@@ -423,18 +448,24 @@ void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
     return;
   }
 #endif
-  // Row blocks of 4 on the AVX2 tile when `tile` says so, then row pairs
-  // and the odd row on the portable tiles, each with the scalar tail for
-  // the width % 8 columns.
+  // Row blocks of 4 on the AVX2 tiles when `tile` says so (8 columns at a
+  // time, then 4, then the scalar tail for the width % 4 columns), then row
+  // pairs and the odd row on the portable tiles, each with the scalar tail
+  // for the width % 8 columns.
   std::size_t r = 0;
 #if defined(__x86_64__)
   if (tile == MatmatTile::kAvx2) {
+    constexpr std::size_t kHalf = kMatmatColTile / 2;
     for (; r + kMatmatAvx2RowTile <= rows; r += kMatmatAvx2RowTile) {
       const double* S2C2_RESTRICT a0 = a + r * cols;
       double* S2C2_RESTRICT y0 = y + r * width;
       std::size_t j = 0;
       for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
         matmat_rows4_tile_avx2(a0, cols, x + j, width, y0 + j);
+      }
+      if (j + kHalf <= width) {
+        matmat_rows4_half_tile_avx2(a0, cols, x + j, width, y0 + j);
+        j += kHalf;
       }
       if (j < width) {
         for (std::size_t i = 0; i < kMatmatAvx2RowTile; ++i) {

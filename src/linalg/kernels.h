@@ -26,8 +26,9 @@
 //     one of 1-8 columns runs on an 8 x 8 tile instead, masked too; the
 //     rows % 4 and rows % 8 rows run on the same tiles with fewer rows.
 //     No element takes a scalar path.
-//   - avx2: 4 rows x 8 columns in 8 named 4-lane (ymm) accumulators; the
-//     rows % 4 rows and the width % 8 columns stay on the portable tiles.
+//   - avx2: 4 rows x 8 columns in 8 named 4-lane (ymm) accumulators; a
+//     ragged remainder of 4-7 columns takes a 4 x 4 step first. The
+//     rows % 4 rows and the width % 4 columns stay on the portable tiles.
 //   - portable: the 2 x 8 tile on 2-lane vectors, every host.
 // Only the SIMD tiles' functions are compiled for their ISA, so the binary
 // still runs on any x86-64 host and on other architectures.

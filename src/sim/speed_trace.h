@@ -42,10 +42,6 @@ class SpeedTrace {
   /// ends at zero speed with work remaining.
   [[nodiscard]] Time time_to_complete(Time t0, double work) const;
 
-  [[nodiscard]] std::size_t num_segments() const noexcept {
-    return speeds_.size();
-  }
-
   static constexpr Time kNever = std::numeric_limits<Time>::infinity();
 
  private:

@@ -9,10 +9,11 @@
 // thread count, which is the harness's determinism contract (pinned by
 // tests/thread_pool_test.cpp at several --jobs values).
 //
-// The system has two users: sharding independent sweep cells (matrix
+// The system has three users: sharding independent sweep cells (matrix
 // runner, job suite, serve sweeps, claims table) through the free
-// parallel_for, and the chunk fan-out inside one round
-// (CodedComputeEngine's inner pool) through the member call.
+// parallel_for, the chunk fan-out inside one round (CodedComputeEngine's
+// inner pool) through the member call, and run_serve's one-worker pool,
+// which overlaps each round with its exact check through the member call.
 //
 // Nesting contract (see docs/ARCHITECTURE.md "Threading ownership"):
 //   * The member call is HELP-FIRST: the calling thread drains indices

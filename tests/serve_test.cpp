@@ -4,9 +4,13 @@
 // property the serving layer exists to exploit.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/harness/serve.h"
+#include "src/util/thread_pool.h"
 
 namespace s2c2::harness {
 namespace {
@@ -126,6 +130,57 @@ TEST(Serve, FullWidthBlocksVerifyEveryColumn) {
     } else {
       EXPECT_LT(r.max_error, 1e-7);
     }
+  }
+}
+
+TEST(Serve, OverlappedCheckMatchesSerialCheck) {
+  // At top level run_serve computes each round's exact check on a helper
+  // thread beside the round; inside a fan-out body it runs round then
+  // check on one thread. Both must verify the same bits, with the
+  // engine's inner pool off and on.
+  for (const std::size_t inner_jobs : {1u, 2u}) {
+    ServeConfig c = small_config();
+    c.requests = 64;
+    c.load_factor = 24.0;
+    c.max_batch = 16;
+    c.inner_jobs = inner_jobs;
+    ASSERT_FALSE(util::ThreadPool::in_worker());
+    const ServeResult overlapped = run_serve(c);
+    std::vector<ServeResult> serial(2);
+    util::parallel_for(2, 2, [&](std::size_t i) {
+      EXPECT_TRUE(util::ThreadPool::in_worker());
+      serial[i] = run_serve(c);
+    });
+    EXPECT_EQ(overlapped.products_verified, c.requests) << inner_jobs;
+    for (const ServeResult& s : serial) {
+      EXPECT_EQ(s.fingerprint(), overlapped.fingerprint()) << inner_jobs;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.max_error),
+                std::bit_cast<std::uint64_t>(overlapped.max_error))
+          << inner_jobs;
+      EXPECT_EQ(s.product_digest, overlapped.product_digest) << inner_jobs;
+      EXPECT_EQ(s.products_verified, overlapped.products_verified)
+          << inner_jobs;
+    }
+  }
+}
+
+TEST(Serve, EngineFailurePropagatesThroughOverlappedCheck) {
+  // The round throws while the helper computes its check: the error must
+  // still reach the caller, after both finish, and run_serve must return.
+  // A fixed arrival rate skips the probe round, so the throw comes from a
+  // served round with the helper active.
+  ServeConfig c = small_config();
+  c.strategy = StrategyKind::kReplication;
+  c.trace = TraceProfile::kByzantine;
+  c.arrival_rate = 1.0;
+  ASSERT_FALSE(util::ThreadPool::in_worker());
+  try {
+    (void)run_serve(c);
+    ADD_FAILURE() << "replication served byzantine responses";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_STREQ(ex.what(),
+                 "cluster failure: replication cannot verify byzantine "
+                 "responses");
   }
 }
 
