@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the numeric kernels and the
 // scheduler hot paths: dense/sparse matvec, a dense panel product vs one
 // matvec per panel column, MDS encode, per-chunk vs chunk-run worker
-// products, chunked decode, LU solve, allocation, and the LSTM step used
-// each iteration.
+// products, chunked decode, LU solve, allocation, and the LSTM step and
+// per-round update used each iteration.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -262,6 +262,45 @@ void BM_LstmStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmStep);
+
+// The predictor phase of one round: every worker's LSTM update, through
+// the per-worker virtual observe() or one batched observe_all() pass over
+// the structure-of-arrays state. Both give the same bits; n = 48 is the
+// jobs-suite fleet, n = 1000 steady-n1000's.
+void lstm_observe_case(benchmark::State& state, bool batched, std::size_t n) {
+  const predict::Lstm model(1, 4, 7);
+  predict::LstmPredictor lstm(n, model);
+  predict::SpeedPredictor& p = lstm;
+  util::Rng rng(8);
+  std::vector<double> speeds(n);
+  for (double& s : speeds) s = rng.uniform(0.5, 1.5);
+  for (auto _ : state) {
+    if (batched) {
+      p.observe_all(speeds);
+    } else {
+      for (std::size_t w = 0; w < n; ++w) p.observe(w, speeds[w]);
+    }
+    benchmark::DoNotOptimize(p.predict(n - 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+// BM_LstmObserve/<per_worker|batched>/n:N.
+const bool kLstmObserveRegistered = [] {
+  for (const bool batched : {false, true}) {
+    for (const std::size_t n : {48, 1000}) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_LstmObserve/") +
+           (batched ? "batched" : "per_worker") + "/n:" + std::to_string(n))
+              .c_str(),
+          [=](benchmark::State& state) {
+            lstm_observe_case(state, batched, n);
+          });
+    }
+  }
+  return true;
+}();
 
 }  // namespace
 

@@ -86,14 +86,17 @@ void ChunkedDecoder::decode_into(linalg::Matrix& out) {
   out.resize(k * rows_per_chunk_ * num_chunks_, width_);
 
   // Per-chunk decode subsets: the first k responders (arrival order),
-  // sorted so identical membership yields an identical cache key.
+  // sorted so identical membership yields an identical cache key. Engines
+  // stage workers in ascending order, so the arrivals are usually sorted
+  // already; those chunks skip the sort and gather slot j as key row j.
   keys_.resize(num_chunks_);
+  arrival_sorted_.resize(num_chunks_);
   for (std::size_t chunk = 0; chunk < num_chunks_; ++chunk) {
-    keys_[chunk].resize(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      keys_[chunk][j] = results_[chunk][j].first;
-    }
-    std::sort(keys_[chunk].begin(), keys_[chunk].end());
+    std::vector<std::size_t>& key = keys_[chunk];
+    key.resize(k);
+    for (std::size_t j = 0; j < k; ++j) key[j] = results_[chunk][j].first;
+    arrival_sorted_[chunk] = std::is_sorted(key.begin(), key.end());
+    if (!arrival_sorted_[chunk]) std::sort(key.begin(), key.end());
   }
   const std::size_t chunk_cols = rows_per_chunk_ * width_;
 
@@ -112,13 +115,16 @@ void ChunkedDecoder::decode_into(linalg::Matrix& out) {
     const std::span<double> rhs = arena_.alloc_span<double>(k * rhs_cols);
     for (std::size_t chunk = begin; chunk < end; ++chunk) {
       const auto& slot = results_[chunk];
-      // Index the chunk's first-k slot positions by worker id so the
-      // gather below is O(k), not an O(k) search per responder (the key is
-      // exactly those k workers, sorted).
-      slot_pos_.assign(generator_.n(), npos);
-      for (std::size_t j = 0; j < k; ++j) slot_pos_[slot[j].first] = j;
+      // Unsorted arrivals: index the chunk's first-k slot positions by
+      // worker id so the gather below is O(k), not an O(k) search per
+      // responder (the key is exactly those k workers, sorted).
+      const bool sorted = arrival_sorted_[chunk] != 0;
+      if (!sorted) {
+        slot_pos_.assign(generator_.n(), npos);
+        for (std::size_t j = 0; j < k; ++j) slot_pos_[slot[j].first] = j;
+      }
       for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t pos = slot_pos_[key[j]];
+        const std::size_t pos = sorted ? j : slot_pos_[key[j]];
         S2C2_CHECK(pos != npos, "responder disappeared");
         std::copy(slot[pos].second, slot[pos].second + chunk_cols,
                   rhs.begin() +
@@ -130,17 +136,18 @@ void ChunkedDecoder::decode_into(linalg::Matrix& out) {
     context_->solve_inplace(key, rhs, rhs_cols);
 
     // rhs row i now holds (A_i x) over the run's rows; scatter to output.
+    // A (chunk, block) is rows_per_chunk_ whole output rows, contiguous in
+    // both rhs and out.
     for (std::size_t chunk = begin; chunk < end; ++chunk) {
       for (std::size_t i = 0; i < k; ++i) {
         const std::size_t out_row0 =
             i * rows_per_chunk_ * num_chunks_ + chunk * rows_per_chunk_;
-        for (std::size_t r = 0; r < rows_per_chunk_; ++r) {
-          for (std::size_t c = 0; c < width_; ++c) {
-            out(out_row0 + r, c) =
-                rhs[i * rhs_cols + (chunk - begin) * chunk_cols + r * width_ +
-                    c];
-          }
-        }
+        const auto src = rhs.begin() + static_cast<std::ptrdiff_t>(
+                                           i * rhs_cols +
+                                           (chunk - begin) * chunk_cols);
+        std::copy(src, src + static_cast<std::ptrdiff_t>(chunk_cols),
+                  out.mutable_data().begin() +
+                      static_cast<std::ptrdiff_t>(out_row0 * width_));
       }
     }
     begin = end;

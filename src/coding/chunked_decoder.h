@@ -141,8 +141,10 @@ class ChunkedDecoder {
   util::Arena arena_;
   std::unique_ptr<DecodeContext> owned_context_;
   DecodeContext* context_;
-  // decode_into scratch (per-chunk subset keys), reused across rounds.
+  // decode_into scratch (per-chunk subset keys, and whether the chunk's
+  // first k arrivals were already in key order), reused across rounds.
   std::vector<std::vector<std::size_t>> keys_;
+  std::vector<std::uint8_t> arrival_sorted_;
   // (worker, chunk) staged flags, n x num_chunks: O(1) duplicate detection
   // in stage_chunk instead of an O(responders) slot scan — at n = 1000
   // that scan was the round loop's hottest non-kernel cost. Flags stay set

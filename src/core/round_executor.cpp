@@ -1,6 +1,7 @@
 #include "src/core/round_executor.h"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 
@@ -69,9 +70,7 @@ void RoundExecutor::predict_speeds(sim::Time t0, std::vector<double>& out) {
       out[w] = spec_.traces[w].speed_at(t0);
     }
   } else {
-    for (std::size_t w = 0; w < n; ++w) {
-      out[w] = predictor_->predict(w);
-    }
+    predictor_->predict_all(out);
   }
 }
 
@@ -188,7 +187,7 @@ RoundResult RoundExecutor::run_round_impl(std::span<const double> x,
   account();
   observe(result);
   record_health(result);
-  decode(result, functional, x, x_block);
+  learn_and_decode(result, functional, x, x_block);
   return result;
 }
 
@@ -540,7 +539,6 @@ void RoundExecutor::observe(RoundResult& result) {
             (until - t.x_arrival);
     }
     result.observed_speeds[w] = obs;
-    if (predictor_) predictor_->observe(w, obs);
   }
   count_prediction_round(result.predicted_speeds, result.observed_speeds);
 }
@@ -570,6 +568,43 @@ void RoundExecutor::record_health(RoundResult& result) {
     }
   }
   result.stats.degrading_workers = health_.degrading_count();
+}
+
+void RoundExecutor::learn_and_decode(RoundResult& result, bool functional,
+                                     std::span<const double> x,
+                                     const linalg::Matrix* x_block) {
+  if (!predictor_ || !functional || util::ThreadPool::in_worker()) {
+    if (predictor_) predictor_->observe_all(result.observed_speeds);
+    decode(result, functional, x, x_block);
+    return;
+  }
+  // One helper per calling thread, shared by every engine that thread
+  // runs: a GD job builds two engines, and a helper per engine would
+  // start and join two threads per job.
+  thread_local util::ThreadPool helper(1);
+  // The lambda captures two pointers, so std::function keeps it in its
+  // small buffer: a by-reference capture of every argument would not fit
+  // and would put one heap block on every round.
+  struct Tail {
+    RoundResult& result;
+    std::span<const double> x;
+    const linalg::Matrix* x_block;
+    std::exception_ptr decode_error;
+  } tail{result, x, x_block, nullptr};
+  helper.parallel_for(2, [this, &tail](std::size_t i) {
+    if (i == 1) {
+      predictor_->observe_all(tail.result.observed_speeds);
+      return;
+    }
+    // A failed decode must not stop the update from starting: the
+    // predictor ends the round fed exactly as on the serial path.
+    try {
+      decode(tail.result, true, tail.x, tail.x_block);
+    } catch (...) {
+      tail.decode_error = std::current_exception();
+    }
+  });
+  if (tail.decode_error) std::rethrow_exception(tail.decode_error);
 }
 
 void RoundExecutor::decode(RoundResult& result, bool functional,

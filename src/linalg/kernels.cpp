@@ -197,29 +197,34 @@ __attribute__((target("avx2"))) void matmat_rows4_tile_avx2(
   store4(y + 3 * width + 4, r3j4);
 }
 
-// The 4 x 8 tile's half: (4 rows) x (4 RHS columns), for the first 4 of a
-// ragged 4-7 column remainder. One accumulator per row, one panel load per
-// step.
+// The 4 x 8 tile's half: (4 rows) x (`lanes` <= 4 RHS columns), for a 1-7
+// column remainder: 4 columns, then the last 1-3. One accumulator per row
+// and one panel load per step, shared by the four rows. The load and the
+// store take only the first `lanes` lanes: masked lanes load 0 (never
+// touching memory past the panel row) and are never stored.
 __attribute__((target("avx2"))) void matmat_rows4_half_tile_avx2(
     const double* S2C2_RESTRICT a, std::size_t cols,
-    const double* S2C2_RESTRICT x, std::size_t width,
+    const double* S2C2_RESTRICT x, std::size_t width, std::size_t lanes,
     double* S2C2_RESTRICT y) {
   const double* S2C2_RESTRICT a0 = a;
   const double* S2C2_RESTRICT a1 = a + cols;
   const double* S2C2_RESTRICT a2 = a + 2 * cols;
   const double* S2C2_RESTRICT a3 = a + 3 * cols;
+  const __m256i mask =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(lanes)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
   V4 r0 = {}, r1 = {}, r2 = {}, r3 = {};
   for (std::size_t c = 0; c < cols; ++c) {
-    const V4 xv = load4(x + c * width);
+    const V4 xv = _mm256_maskload_pd(x + c * width, mask);
     r0 = madd4(r0, splat4(a0[c]), xv);
     r1 = madd4(r1, splat4(a1[c]), xv);
     r2 = madd4(r2, splat4(a2[c]), xv);
     r3 = madd4(r3, splat4(a3[c]), xv);
   }
-  store4(y, r0);
-  store4(y + width, r1);
-  store4(y + 2 * width, r2);
-  store4(y + 3 * width, r3);
+  _mm256_maskstore_pd(y, mask, r0);
+  _mm256_maskstore_pd(y + width, mask, r1);
+  _mm256_maskstore_pd(y + 2 * width, mask, r2);
+  _mm256_maskstore_pd(y + 3 * width, mask, r3);
 }
 
 // Eight adjacent panel columns in one 64-byte zmm register. Every function
@@ -449,9 +454,9 @@ void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
   }
 #endif
   // Row blocks of 4 on the AVX2 tiles when `tile` says so (8 columns at a
-  // time, then 4, then the scalar tail for the width % 4 columns), then row
-  // pairs and the odd row on the portable tiles, each with the scalar tail
-  // for the width % 8 columns.
+  // time, then 4, then the masked last 1-3), then row pairs and the odd row
+  // on the portable tiles, each with the scalar tail for the width % 8
+  // columns.
   std::size_t r = 0;
 #if defined(__x86_64__)
   if (tile == MatmatTile::kAvx2) {
@@ -463,15 +468,10 @@ void dense_matmat_on(MatmatTile tile, const double* S2C2_RESTRICT a,
       for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
         matmat_rows4_tile_avx2(a0, cols, x + j, width, y0 + j);
       }
-      if (j + kHalf <= width) {
-        matmat_rows4_half_tile_avx2(a0, cols, x + j, width, y0 + j);
-        j += kHalf;
-      }
-      if (j < width) {
-        for (std::size_t i = 0; i < kMatmatAvx2RowTile; ++i) {
-          matmat_row1_tail(a0 + i * cols, cols, x + j, width, width - j,
-                           y0 + i * width + j);
-        }
+      while (j < width) {
+        const std::size_t lanes = std::min(kHalf, width - j);
+        matmat_rows4_half_tile_avx2(a0, cols, x + j, width, lanes, y0 + j);
+        j += lanes;
       }
     }
   }

@@ -149,24 +149,6 @@ ArimaModel fit_arima11(const std::vector<std::vector<double>>& corpus,
   return best;
 }
 
-ArPredictor::ArPredictor(std::size_t num_workers, ArModel model)
-    : model_(std::move(model)), history_(num_workers) {}
-
-void ArPredictor::observe(std::size_t worker, double speed) {
-  S2C2_REQUIRE(worker < history_.size(), "worker out of range");
-  history_[worker].push_back(speed);
-}
-
-double ArPredictor::predict(std::size_t worker) {
-  S2C2_REQUIRE(worker < history_.size(), "worker out of range");
-  const double f = model_.forecast(history_[worker]);
-  return f > 0.0 ? f : 0.0;
-}
-
-std::string ArPredictor::name() const {
-  return "ARIMA(" + std::to_string(model_.order()) + ",0,0)";
-}
-
 ArimaPredictor::ArimaPredictor(std::size_t num_workers, ArimaModel model)
     : model_(model), history_(num_workers) {}
 

@@ -46,18 +46,6 @@ struct ArimaModel {
     const std::vector<std::vector<double>>& corpus, std::size_t d);
 
 /// SpeedPredictor adapter: shared fitted model, per-worker history window.
-class ArPredictor final : public SpeedPredictor {
- public:
-  ArPredictor(std::size_t num_workers, ArModel model);
-  void observe(std::size_t worker, double speed) override;
-  double predict(std::size_t worker) override;
-  std::string name() const override;
-
- private:
-  ArModel model_;
-  std::vector<std::vector<double>> history_;
-};
-
 class ArimaPredictor final : public SpeedPredictor {
  public:
   ArimaPredictor(std::size_t num_workers, ArimaModel model);

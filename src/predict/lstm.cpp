@@ -77,6 +77,50 @@ double Lstm::step(std::span<const double> x, State& state) const {
   return y;
 }
 
+void Lstm::step_columns(const double* x, std::size_t count,
+                        std::size_t stride, double* h, double* c, double* z,
+                        double* y) const {
+  S2C2_REQUIRE(in_ == 1, "step_columns takes a scalar input");
+  const double* wx = params_.data() + off_wx();
+  const double* wh = params_.data() + off_wh();
+  const double* b = params_.data() + off_b();
+  const double* wy = params_.data() + off_wy();
+  const double by = params_[off_by()];
+
+  // Every gate row's pre-activation from the old h, before any h moves:
+  // b + wx·x, then + wh[q]·h[q] for ascending q.
+  for (std::size_t r = 0; r < 4 * hid_; ++r) {
+    double* zr = z + r * stride;
+    for (std::size_t s = 0; s < count; ++s) zr[s] = b[r] + wx[r] * x[s];
+    for (std::size_t q = 0; q < hid_; ++q) {
+      const double w = wh[r * hid_ + q];
+      const double* hq = h + q * stride;
+      for (std::size_t s = 0; s < count; ++s) zr[s] += w * hq[s];
+    }
+  }
+  for (std::size_t j = 0; j < hid_; ++j) {
+    const double* zi = z + j * stride;
+    const double* zf = z + (hid_ + j) * stride;
+    const double* zg = z + (2 * hid_ + j) * stride;
+    const double* zo = z + (3 * hid_ + j) * stride;
+    double* cj = c + j * stride;
+    double* hj = h + j * stride;
+    for (std::size_t s = 0; s < count; ++s) {
+      const double gi = sigmoid(zi[s]);
+      const double gf = sigmoid(zf[s]);
+      const double gg = std::tanh(zg[s]);
+      const double go = sigmoid(zo[s]);
+      cj[s] = gf * cj[s] + gi * gg;
+      hj[s] = go * std::tanh(cj[s]);
+    }
+  }
+  for (std::size_t s = 0; s < count; ++s) y[s] = by;
+  for (std::size_t j = 0; j < hid_; ++j) {
+    const double* hj = h + j * stride;
+    for (std::size_t s = 0; s < count; ++s) y[s] += wy[j] * hj[s];
+  }
+}
+
 std::pair<double, std::size_t> Lstm::window_gradient(
     std::span<const double> series, std::span<double> grad) const {
   S2C2_CHECK(grad.size() == params_.size(), "gradient size mismatch");
@@ -284,21 +328,36 @@ void Lstm::set_params(std::span<const double> p) {
 
 LstmPredictor::LstmPredictor(std::size_t num_workers, const Lstm& model)
     : model_(model),
-      states_(num_workers, model.initial_state()),
+      n_(num_workers),
+      h_(model.hidden_dim() * num_workers, 0.0),
+      c_(model.hidden_dim() * num_workers, 0.0),
+      z_(4 * model.hidden_dim() * num_workers),
       next_pred_(num_workers, 1.0) {
   S2C2_REQUIRE(model.input_dim() == 1, "speed predictor expects 1-dim input");
 }
 
 void LstmPredictor::observe(std::size_t worker, double speed) {
-  S2C2_REQUIRE(worker < states_.size(), "worker out of range");
-  const double x[1] = {speed};
-  next_pred_[worker] = model_.step(std::span<const double>(x, 1),
-                                   states_[worker]);
+  S2C2_REQUIRE(worker < n_, "worker out of range");
+  model_.step_columns(&speed, 1, n_, h_.data() + worker, c_.data() + worker,
+                      z_.data() + worker, next_pred_.data() + worker);
 }
 
 double LstmPredictor::predict(std::size_t worker) {
-  S2C2_REQUIRE(worker < states_.size(), "worker out of range");
+  S2C2_REQUIRE(worker < n_, "worker out of range");
   return next_pred_[worker] > 0.0 ? next_pred_[worker] : 0.0;
+}
+
+void LstmPredictor::observe_all(std::span<const double> speeds) {
+  S2C2_REQUIRE(speeds.size() == n_, "one speed per worker");
+  model_.step_columns(speeds.data(), n_, n_, h_.data(), c_.data(), z_.data(),
+                      next_pred_.data());
+}
+
+void LstmPredictor::predict_all(std::span<double> out) {
+  S2C2_REQUIRE(out.size() == n_, "one slot per worker");
+  for (std::size_t w = 0; w < n_; ++w) {
+    out[w] = next_pred_[w] > 0.0 ? next_pred_[w] : 0.0;
+  }
 }
 
 }  // namespace s2c2::predict

@@ -46,6 +46,18 @@ class Lstm {
   /// scratch is sized (initial_state() sizes it).
   double step(std::span<const double> x, State& state) const;
 
+  /// step() over `count` independent sequences held as structure of
+  /// arrays, for a scalar-input model (input_dim() == 1): hidden unit j of
+  /// sequence s is h[j * stride + s] (c likewise), z is 4·hidden_dim()
+  /// rows of `stride` pre-activation scratch, x[s] is the input and y[s]
+  /// receives the readout. One gate row at a time runs over all sequences
+  /// (the Enzyme LSTM's gate-array layout, one array per row), and every
+  /// element takes step()'s operations in step()'s order, so each
+  /// sequence's state and readout are bitwise step() on its own State.
+  /// Allocation-free.
+  void step_columns(const double* x, std::size_t count, std::size_t stride,
+                    double* h, double* c, double* z, double* y) const;
+
   struct TrainConfig {
     std::size_t epochs = 60;
     double learning_rate = 1e-2;
@@ -96,17 +108,25 @@ class Lstm {
 
 /// SpeedPredictor adapter: one shared trained LSTM, per-worker recurrent
 /// state fed with observed speeds (paper §6.2 batches all workers through
-/// the same model).
+/// the same model). The state is structure of arrays, H x n for h and c
+/// plus one 4H x n gate scratch, all sized here: observe_all steps every
+/// worker in one Lstm::step_columns pass, and observe(w, ·) steps column w
+/// alone through the same code, so the two give the same bits.
 class LstmPredictor final : public SpeedPredictor {
  public:
   LstmPredictor(std::size_t num_workers, const Lstm& model);
   void observe(std::size_t worker, double speed) override;
   double predict(std::size_t worker) override;
+  void observe_all(std::span<const double> speeds) override;
+  void predict_all(std::span<double> out) override;
   std::string name() const override { return "LSTM"; }
 
  private:
   const Lstm& model_;
-  std::vector<Lstm::State> states_;
+  std::size_t n_;
+  std::vector<double> h_;  // hidden unit j of worker w at h_[j * n_ + w]
+  std::vector<double> c_;  // cell state, same layout
+  std::vector<double> z_;  // gate pre-activations, 4H rows of n_
   std::vector<double> next_pred_;
 };
 

@@ -1,8 +1,18 @@
 #include "src/predict/predictors.h"
 
+#include <algorithm>
+
 #include "src/util/require.h"
 
 namespace s2c2::predict {
+
+void SpeedPredictor::observe_all(std::span<const double> speeds) {
+  for (std::size_t w = 0; w < speeds.size(); ++w) observe(w, speeds[w]);
+}
+
+void SpeedPredictor::predict_all(std::span<double> out) {
+  for (std::size_t w = 0; w < out.size(); ++w) out[w] = predict(w);
+}
 
 LastValuePredictor::LastValuePredictor(std::size_t num_workers)
     : last_(num_workers, 1.0) {}
@@ -15,6 +25,16 @@ void LastValuePredictor::observe(std::size_t worker, double speed) {
 double LastValuePredictor::predict(std::size_t worker) {
   S2C2_REQUIRE(worker < last_.size(), "worker out of range");
   return last_[worker];
+}
+
+void LastValuePredictor::observe_all(std::span<const double> speeds) {
+  S2C2_REQUIRE(speeds.size() == last_.size(), "one speed per worker");
+  std::copy(speeds.begin(), speeds.end(), last_.begin());
+}
+
+void LastValuePredictor::predict_all(std::span<double> out) {
+  S2C2_REQUIRE(out.size() == last_.size(), "one slot per worker");
+  std::copy(last_.begin(), last_.end(), out.begin());
 }
 
 FrozenSpeedPredictor::FrozenSpeedPredictor(std::size_t num_workers,
@@ -36,36 +56,6 @@ double FrozenSpeedPredictor::predict(std::size_t worker) {
   return sum_[worker] / static_cast<double>(seen_[worker]);
 }
 
-NoisyPredictor::NoisyPredictor(std::unique_ptr<SpeedPredictor> inner,
-                               double corrupt_prob, double rel_error,
-                               std::uint64_t seed)
-    : inner_(std::move(inner)),
-      corrupt_prob_(corrupt_prob),
-      rel_error_(rel_error),
-      rng_(seed) {
-  S2C2_REQUIRE(inner_ != nullptr, "inner predictor required");
-  S2C2_REQUIRE(corrupt_prob >= 0.0 && corrupt_prob <= 1.0,
-               "corrupt_prob in [0,1]");
-  S2C2_REQUIRE(rel_error >= 0.0, "rel_error must be >= 0");
-}
-
-void NoisyPredictor::observe(std::size_t worker, double speed) {
-  inner_->observe(worker, speed);
-}
-
-double NoisyPredictor::predict(std::size_t worker) {
-  double p = inner_->predict(worker);
-  if (rng_.bernoulli(corrupt_prob_)) {
-    const double sign = rng_.bernoulli(0.5) ? 1.0 : -1.0;
-    p *= 1.0 + sign * rel_error_;
-  }
-  return p > 0.0 ? p : 0.0;
-}
-
-std::string NoisyPredictor::name() const {
-  return "noisy(" + inner_->name() + ")";
-}
-
 HealthInformedPredictor::HealthInformedPredictor(
     std::unique_ptr<SpeedPredictor> inner, ScaleFn scale)
     : inner_(std::move(inner)), scale_(std::move(scale)) {
@@ -77,7 +67,19 @@ void HealthInformedPredictor::observe(std::size_t worker, double speed) {
 }
 
 double HealthInformedPredictor::predict(std::size_t worker) {
-  const double p = inner_->predict(worker);
+  return scaled(worker, inner_->predict(worker));
+}
+
+void HealthInformedPredictor::observe_all(std::span<const double> speeds) {
+  inner_->observe_all(speeds);
+}
+
+void HealthInformedPredictor::predict_all(std::span<double> out) {
+  inner_->predict_all(out);
+  for (std::size_t w = 0; w < out.size(); ++w) out[w] = scaled(w, out[w]);
+}
+
+double HealthInformedPredictor::scaled(std::size_t worker, double p) const {
   if (!scale_) return p;
   double s = scale_(worker);
   if (!(s > 0.0)) s = 1.0;  // empty/invalid health signal: pass through

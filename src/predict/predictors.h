@@ -5,17 +5,24 @@
 // speeds before allocating work. Implementations here cover the paper's
 // models (LSTM in lstm.h, ARIMA in arima.h) plus the degenerate predictors
 // the evaluation needs: last-value (≈ ARIMA(1,0,0) with unit coefficient),
-// equal-speed (what basic S2C2 assumes for non-stragglers), and a noise
-// wrapper used to dial in a target mis-prediction rate for ablations.
+// equal-speed (what basic S2C2 assumes for non-stragglers), frozen
+// (static heterogeneity-aware splitting), and a health-informed wrapper.
+//
+// The round executor talks to a predictor through the batched pair
+// observe_all / predict_all, once per round over every worker (paper §6.2
+// runs all workers through one model). Their defaults loop over the
+// per-worker calls in ascending worker order, so a predictor that
+// overrides only the per-worker pair (a seeded RNG draws in worker order)
+// sees the same sequence of calls either way; the LSTM overrides them
+// with one structure-of-arrays pass over all workers.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
-
-#include "src/util/rng.h"
 
 namespace s2c2::predict {
 
@@ -29,6 +36,12 @@ class SpeedPredictor {
   /// One-step-ahead speed forecast for `worker`.
   [[nodiscard]] virtual double predict(std::size_t worker) = 0;
 
+  /// observe(w, speeds[w]) for every worker w, in ascending order.
+  virtual void observe_all(std::span<const double> speeds);
+
+  /// out[w] = predict(w) for every worker w, in ascending order.
+  virtual void predict_all(std::span<double> out);
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -38,6 +51,8 @@ class LastValuePredictor final : public SpeedPredictor {
   explicit LastValuePredictor(std::size_t num_workers);
   void observe(std::size_t worker, double speed) override;
   double predict(std::size_t worker) override;
+  void observe_all(std::span<const double> speeds) override;
+  void predict_all(std::span<double> out) override;
   std::string name() const override { return "last-value"; }
 
  private:
@@ -69,24 +84,6 @@ class FrozenSpeedPredictor final : public SpeedPredictor {
   std::vector<double> sum_;
 };
 
-/// Wraps another predictor and corrupts a fraction of predictions with
-/// multiplicative error — used to study S2C2 under controlled
-/// mis-prediction rates (tests/fault_injection_test.cpp).
-class NoisyPredictor final : public SpeedPredictor {
- public:
-  NoisyPredictor(std::unique_ptr<SpeedPredictor> inner, double corrupt_prob,
-                 double rel_error, std::uint64_t seed);
-  void observe(std::size_t worker, double speed) override;
-  double predict(std::size_t worker) override;
-  std::string name() const override;
-
- private:
-  std::unique_ptr<SpeedPredictor> inner_;
-  double corrupt_prob_;
-  double rel_error_;
-  util::Rng rng_;
-};
-
 /// Wraps another predictor and scales its estimates by an externally
 /// supplied per-worker health factor in (0, 1] — the hook
 /// `telemetry::HealthMonitor::prediction_scale` plugs into. The predict
@@ -101,9 +98,16 @@ class HealthInformedPredictor final : public SpeedPredictor {
                           ScaleFn scale);
   void observe(std::size_t worker, double speed) override;
   double predict(std::size_t worker) override;
+  /// Forwards to the inner predictor's batched calls; predict_all scales
+  /// each worker's estimate exactly as predict does.
+  void observe_all(std::span<const double> speeds) override;
+  void predict_all(std::span<double> out) override;
   std::string name() const override;
 
  private:
+  /// The inner estimate `p` for `worker`, bid down by its health factor.
+  [[nodiscard]] double scaled(std::size_t worker, double p) const;
+
   std::unique_ptr<SpeedPredictor> inner_;
   ScaleFn scale_;
 };

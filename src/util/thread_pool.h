@@ -9,11 +9,13 @@
 // thread count, which is the harness's determinism contract (pinned by
 // tests/thread_pool_test.cpp at several --jobs values).
 //
-// The system has three users: sharding independent sweep cells (matrix
+// The system has four users: sharding independent sweep cells (matrix
 // runner, job suite, serve sweeps, claims table) through the free
 // parallel_for, the chunk fan-out inside one round (CodedComputeEngine's
-// inner pool) through the member call, and run_serve's one-worker pool,
-// which overlaps each round with its exact check through the member call.
+// inner pool) through the member call, run_serve's one-worker pool,
+// which overlaps each round with its exact check through the member call,
+// and the round executor's one-worker pool per calling thread, which runs
+// the predictor update beside the round's decode through the member call.
 //
 // Nesting contract (see docs/ARCHITECTURE.md "Threading ownership"):
 //   * The member call is HELP-FIRST: the calling thread drains indices

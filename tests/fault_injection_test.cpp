@@ -116,7 +116,7 @@ TEST(FaultInjection, NoisyPredictorRaisesTimeoutRateMonotonically) {
     cfg.strategy = StrategyKind::kS2C2;
     cfg.chunks_per_partition = kChunks;
     auto inner = std::make_unique<predict::LastValuePredictor>(10);
-    auto noisy = std::make_unique<predict::NoisyPredictor>(
+    auto noisy = std::make_unique<test::NoisyPredictor>(
         std::move(inner), corrupt, 0.6, 99);
     CodedComputeEngine engine(job, spec_from(std::move(traces)), cfg,
                               std::move(noisy));

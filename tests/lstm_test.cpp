@@ -2,7 +2,12 @@
 // differences), learning capacity, and the predictor adapter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/predict/lstm.h"
 #include "src/util/rng.h"
@@ -111,6 +116,81 @@ TEST(LstmPredictor, TracksPerWorkerState) {
   // Different observation histories must produce different predictions.
   EXPECT_NE(p.predict(0), p.predict(1));
   EXPECT_GE(p.predict(0), 0.0);  // clamped non-negative
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(LstmPredictor, BatchedMatchesPerWorkerAndStep) {
+  // The structure-of-arrays predictor against an independent reference:
+  // one Lstm::State per worker stepped through Lstm::step. Batched and
+  // per-worker calls interleave (per-worker updates in descending worker
+  // order, so a column must not depend on its neighbours) and speeds
+  // include 0. The readout bias (which feeds nothing back) sits at minus
+  // the median readout of a dry run, so about half the predictions are
+  // positive, and their bits are compared, while the rest are negative
+  // readouts clamped to 0.
+  constexpr int kRounds = 6;
+  for (const std::size_t hidden : {1u, 3u, 4u, 5u}) {
+    for (const std::size_t n : {1u, 37u, 1000u}) {
+      SCOPED_TRACE("H=" + std::to_string(hidden) + " n=" + std::to_string(n));
+      util::Rng rng(hidden * 1000 + n);
+      std::vector<std::vector<double>> speeds(kRounds, std::vector<double>(n));
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t w = 0; w < n; ++w) {
+          speeds[round][w] =
+              (w + round) % 5 == 0 ? 0.0 : rng.uniform(0.0, 1.6);
+        }
+      }
+      Lstm model(1, hidden, 100 + hidden);
+      std::vector<double> params(model.params().begin(),
+                                 model.params().end());
+      params.back() = 0.0;  // readout bias
+      model.set_params(params);
+      std::vector<double> dry;
+      std::vector<Lstm::State> dry_state(n, model.initial_state());
+      for (const std::vector<double>& x : speeds) {
+        for (std::size_t w = 0; w < n; ++w) {
+          dry.push_back(
+              model.step(std::span<const double>(&x[w], 1), dry_state[w]));
+        }
+      }
+      std::nth_element(dry.begin(), dry.begin() + dry.size() / 2, dry.end());
+      params.back() = -dry[dry.size() / 2];
+      model.set_params(params);
+
+      LstmPredictor batched(n, model);
+      std::vector<Lstm::State> ref(n, model.initial_state());
+      std::vector<double> out(n);
+      std::size_t positive = 0, negative = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<double>& x = speeds[round];
+        if (round % 2 == 0) {
+          batched.observe_all(x);
+        } else {
+          for (std::size_t w = n; w-- > 0;) batched.observe(w, x[w]);
+        }
+        if (round % 3 == 0) {
+          batched.predict_all(out);
+        } else {
+          for (std::size_t w = 0; w < n; ++w) out[w] = batched.predict(w);
+        }
+        for (std::size_t w = 0; w < n; ++w) {
+          const double y = model.step(std::span<const double>(&x[w], 1), ref[w]);
+          (y > 0.0 ? positive : negative) += 1;
+          ASSERT_EQ(bits_of(out[w]), bits_of(y > 0.0 ? y : 0.0))
+              << "round " << round << " worker " << w;
+        }
+      }
+      if (n > 1) {
+        EXPECT_GT(positive, 2 * n);
+        EXPECT_GT(negative, 2 * n);
+      }
+    }
+  }
 }
 
 TEST(LstmPredictor, RequiresScalarInputModel) {

@@ -2,12 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/predict/arima.h"
 #include "src/predict/evaluation.h"
+#include "src/predict/lstm.h"
 #include "src/predict/predictors.h"
 #include "src/util/rng.h"
 #include "src/workload/trace_gen.h"
+#include "tests/test_util.h"
 
 namespace s2c2::predict {
 namespace {
@@ -30,7 +37,7 @@ TEST(EqualSpeed, AlwaysOne) {
 TEST(Noisy, CorruptsAtConfiguredRate) {
   auto inner = std::make_unique<LastValuePredictor>(1);
   inner->observe(0, 1.0);
-  NoisyPredictor p(std::move(inner), 0.5, 0.3, 42);
+  test::NoisyPredictor p(std::move(inner), 0.5, 0.3, 42);
   int corrupted = 0;
   for (int i = 0; i < 2000; ++i) {
     const double v = p.predict(0);
@@ -42,8 +49,59 @@ TEST(Noisy, CorruptsAtConfiguredRate) {
 TEST(Noisy, NeverNegative) {
   auto inner = std::make_unique<LastValuePredictor>(1);
   inner->observe(0, 0.1);
-  NoisyPredictor p(std::move(inner), 1.0, 2.0, 7);  // 200% error
+  test::NoisyPredictor p(std::move(inner), 1.0, 2.0, 7);  // 200% error
   for (int i = 0; i < 100; ++i) EXPECT_GE(p.predict(0), 0.0);
+}
+
+TEST(Predictors, PredictAllMatchesPredict) {
+  // Two copies of each predictor see the same speeds, one through the
+  // batched calls and one through the per-worker calls; their predictions
+  // must agree bit for bit. The noisy copies share a seed, so this also
+  // pins that the batched defaults draw in ascending worker order.
+  static constexpr std::size_t n = 9;
+  const Lstm model(1, 4, 21);
+  const auto health = [](std::size_t w) {
+    return w % 3 == 0 ? 0.5 : (w % 3 == 1 ? 2.0 : -1.0);
+  };
+  const std::vector<
+      std::pair<const char*, std::function<std::unique_ptr<SpeedPredictor>()>>>
+      kinds = {
+          {"last-value", [] { return std::make_unique<LastValuePredictor>(n); }},
+          {"health(LSTM)",
+           [&] {
+             return std::make_unique<HealthInformedPredictor>(
+                 std::make_unique<LstmPredictor>(n, model), health);
+           }},
+          {"frozen",
+           [] { return std::make_unique<FrozenSpeedPredictor>(n, 2); }},
+          {"noisy",
+           [] {
+             return std::make_unique<test::NoisyPredictor>(
+                 std::make_unique<LastValuePredictor>(n), 0.5, 0.3, 5);
+           }},
+      };
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  for (const auto& [label, make] : kinds) {
+    SCOPED_TRACE(label);
+    const auto batched = make();
+    const auto single = make();
+    util::Rng rng(3);
+    std::vector<double> speeds(n), out(n);
+    for (int round = 0; round < 4; ++round) {
+      for (double& s : speeds) s = rng.uniform(0.0, 1.5);
+      batched->observe_all(speeds);
+      for (std::size_t w = 0; w < n; ++w) single->observe(w, speeds[w]);
+      batched->predict_all(out);
+      for (std::size_t w = 0; w < n; ++w) {
+        EXPECT_EQ(bits(out[w]), bits(single->predict(w)))
+            << "round " << round << " worker " << w;
+      }
+    }
+  }
 }
 
 TEST(ArFit, RecoversAr1Coefficient) {
@@ -112,15 +170,6 @@ TEST(Arima11, DifferencedForecastTracksTrend) {
   const ArimaModel m = fit_arima11(corpus, 1);
   const double f = m.forecast(ramp);
   EXPECT_NEAR(f, ramp.back() + 0.002, 5e-3);
-}
-
-TEST(ArPredictor, PerWorkerHistories) {
-  ArPredictor p(2, ArModel{{1.0}, 0.0});  // identity AR(1)
-  p.observe(0, 0.3);
-  p.observe(1, 0.9);
-  EXPECT_NEAR(p.predict(0), 0.3, 1e-12);
-  EXPECT_NEAR(p.predict(1), 0.9, 1e-12);
-  EXPECT_EQ(p.name(), "ARIMA(1,0,0)");
 }
 
 TEST(Evaluation, ReportsAllModelsOnCloudCorpus) {

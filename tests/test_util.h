@@ -8,13 +8,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/coding/poly_code.h"
 #include "src/core/coded_job.h"
 #include "src/core/strategy_config.h"
 #include "src/linalg/matrix.h"
+#include "src/predict/predictors.h"
 #include "src/sim/speed_trace.h"
+#include "src/util/require.h"
 #include "src/util/rng.h"
 
 namespace s2c2::test {
@@ -107,5 +112,45 @@ inline void expect_matrix_close(const linalg::Matrix& got,
   const double scale = want.frobenius_norm() + 1.0;
   EXPECT_LT(got.max_abs_diff(want) / scale, rel_tol);
 }
+
+/// Wraps another predictor and corrupts a fraction of predictions with
+/// multiplicative error — dials in a mis-prediction rate for the
+/// fault-injection sweeps. It keeps the per-worker calls only, so the
+/// batched ones draw from the RNG in ascending worker order.
+class NoisyPredictor final : public predict::SpeedPredictor {
+ public:
+  NoisyPredictor(std::unique_ptr<predict::SpeedPredictor> inner,
+                 double corrupt_prob, double rel_error, std::uint64_t seed)
+      : inner_(std::move(inner)),
+        corrupt_prob_(corrupt_prob),
+        rel_error_(rel_error),
+        rng_(seed) {
+    S2C2_REQUIRE(inner_ != nullptr, "inner predictor required");
+    S2C2_REQUIRE(corrupt_prob >= 0.0 && corrupt_prob <= 1.0,
+                 "corrupt_prob in [0,1]");
+    S2C2_REQUIRE(rel_error >= 0.0, "rel_error must be >= 0");
+  }
+
+  void observe(std::size_t worker, double speed) override {
+    inner_->observe(worker, speed);
+  }
+
+  double predict(std::size_t worker) override {
+    double p = inner_->predict(worker);
+    if (rng_.bernoulli(corrupt_prob_)) {
+      const double sign = rng_.bernoulli(0.5) ? 1.0 : -1.0;
+      p *= 1.0 + sign * rel_error_;
+    }
+    return p > 0.0 ? p : 0.0;
+  }
+
+  std::string name() const override { return "noisy(" + inner_->name() + ")"; }
+
+ private:
+  std::unique_ptr<predict::SpeedPredictor> inner_;
+  double corrupt_prob_;
+  double rel_error_;
+  util::Rng rng_;
+};
 
 }  // namespace s2c2::test
