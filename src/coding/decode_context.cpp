@@ -1,9 +1,11 @@
 #include "src/coding/decode_context.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "src/coding/lt_code.h"
@@ -49,14 +51,23 @@ void reduce_tile(std::span<const std::size_t> sys, const double* const* g,
 /// worker id) at positions 0..s-1 and its p = k - s parity workers after
 /// them, so the entry keeps only what the subset does not say: `missing`,
 /// the blocks no systematic responder covers (ascending, |missing| == p),
-/// and `lu`, the factors of the p x p reduced matrix
-/// M(r, c) = G(subset[s + r], missing[c]) (empty when p == 0). The
-/// Vandermonde backend sets only `bp`, the rateless one only `lt`.
+/// and the p x p reduced matrix M(r, c) = G(subset[s + r], missing[c]) —
+/// `reduced` while pending, then moved into `lu` and factored in place
+/// (both empty when p == 0). The Vandermonde backend sets only `bp`, the
+/// rateless one only `lt`.
+///
+/// `state` is the only field two threads touch. The owning thread builds
+/// an entry and links it into the cache and the recency list; a thread
+/// reads `reduced` and writes `lu` only after claiming it (pending ->
+/// claimed), and any thread reads `lu` only after seeing it ready.
 struct DecodeContext::Entry {
+  enum class State : std::uint32_t { kReady, kPending, kClaimed, kFailed };
   std::vector<std::size_t> missing;
+  linalg::Matrix reduced;
   std::optional<linalg::LuFactorization> lu;
   std::optional<linalg::VandermondeSolver> bp;
   std::optional<LtPeelPlan> lt;
+  std::atomic<State> state{State::kReady};
   // Recency list links and the entry's own map position (for eviction).
   Entry* newer = nullptr;
   Entry* older = nullptr;
@@ -123,6 +134,8 @@ void DecodeContext::build(Entry& e,
   e.lu.reset();
   e.bp.reset();
   e.lt.reset();
+  // Not queued this round (acquire checks), so no other thread reads it.
+  e.state.store(Entry::State::kReady, std::memory_order_relaxed);
   if (lt_code_ != nullptr) {
     e.lt.emplace(lt_code_->plan_for(subset));
     S2C2_REQUIRE(e.lt->decodable,
@@ -144,13 +157,13 @@ void DecodeContext::build(Entry& e,
     }
     S2C2_CHECK(e.missing.size() == p, "systematic split lost a block");
     if (p > 0) {
-      linalg::Matrix reduced(p, p);
+      e.reduced = linalg::Matrix(p, p);
       for (std::size_t r = 0; r < p; ++r) {
         for (std::size_t c = 0; c < p; ++c) {
-          reduced(r, c) = generator_->coeff(subset[s + r], e.missing[c]);
+          e.reduced(r, c) = generator_->coeff(subset[s + r], e.missing[c]);
         }
       }
-      e.lu.emplace(std::move(reduced));
+      e.state.store(Entry::State::kPending, std::memory_order_relaxed);
     }
   } else {
     std::vector<double> pts(k_);
@@ -190,7 +203,12 @@ DecodeContext::Entry& DecodeContext::acquire(
   Entry* entry = nullptr;
   if (cache_.size() >= kCapacity) {
     // Recycle the least recently used entry's map node, key and storage.
+    // A queued entry may be in the other thread's hands right now.
     Entry& victim = *lru_.oldest;
+    S2C2_CHECK(std::find(queue_.begin(), queue_.end(), &victim) ==
+                   queue_.end(),
+               "decode cache evicted an entry queued this round (one round "
+               "touched more than kCapacity responder sets)");
     unlink(victim);
     Cache::node_type node = cache_.extract(victim.self);
     stats_.entries = cache_.size();
@@ -247,7 +265,7 @@ double DecodeContext::solve_cost(const Entry& e, std::size_t columns) const {
 DecodeCharge DecodeContext::charge(std::span<const std::size_t> subset,
                                    std::size_t columns) {
   const std::size_t misses_before = stats_.misses;
-  const Entry& e = acquire(subset);
+  Entry& e = acquire(subset);
   DecodeCharge out;
   out.cache_hit = stats_.misses == misses_before;
   out.flops = solve_cost(e, columns);
@@ -256,7 +274,56 @@ DecodeCharge DecodeContext::charge(std::span<const std::size_t> subset,
     stats_.factor_flops += factor_cost(e);
   }
   stats_.solve_flops += solve_cost(e, columns);
+  if (queueing_ &&
+      e.state.load(std::memory_order_relaxed) == Entry::State::kPending) {
+    queue_.push_back(&e);
+  }
   return out;
+}
+
+void DecodeContext::begin_round() {
+  queueing_ = true;
+  queue_.clear();
+}
+
+bool DecodeContext::factor(Entry& e) noexcept {
+  Entry::State done = Entry::State::kReady;
+  try {
+    e.lu.emplace(std::move(e.reduced));
+    std::atomic_ref<std::size_t>(stats_.factorizations)
+        .fetch_add(1, std::memory_order_relaxed);
+  } catch (...) {
+    done = Entry::State::kFailed;
+  }
+  e.state.store(done, std::memory_order_release);
+  e.state.notify_all();
+  return done == Entry::State::kReady;
+}
+
+void DecodeContext::factor_queued() noexcept {
+  for (Entry* e : queue_) {
+    Entry::State pending = Entry::State::kPending;
+    if (e->state.compare_exchange_strong(pending, Entry::State::kClaimed,
+                                         std::memory_order_acquire)) {
+      (void)factor(*e);
+    }
+  }
+}
+
+void DecodeContext::await_factored(Entry& e) {
+  Entry::State s = e.state.load(std::memory_order_acquire);
+  if (s == Entry::State::kPending &&
+      e.state.compare_exchange_strong(s, Entry::State::kClaimed,
+                                      std::memory_order_acquire)) {
+    s = factor(e) ? Entry::State::kReady : Entry::State::kFailed;
+  }
+  while (s == Entry::State::kClaimed) {
+    e.state.wait(s, std::memory_order_acquire);
+    s = e.state.load(std::memory_order_acquire);
+  }
+  if (s == Entry::State::kFailed) {
+    throw std::domain_error("decode: recovery system is numerically singular");
+  }
 }
 
 void DecodeContext::lt_decode(std::span<const std::size_t> subset,
@@ -332,6 +399,9 @@ void DecodeContext::solve_inplace(std::span<const std::size_t> subset,
         for (std::size_t c = 0; c < width; ++c) dst[c] -= a * src[c];
       }
     }
+    // The reduction above needs only `missing`, so it ran while another
+    // thread may still have been factoring the entry.
+    await_factored(e);
     e.lu->solve_inplace(std::span<double>(reduced, p * width), width,
                         perm_scratch_);
   }
@@ -406,6 +476,7 @@ double DecodeContext::redundant_residual(std::span<const std::size_t> subset,
 }
 
 void DecodeContext::clear() {
+  queue_.clear();
   cache_.clear();
   lru_ = LruEnds{};
   stats_ = DecodeContextStats{};

@@ -22,6 +22,26 @@
 //     kCapacity sets). An engine owns one context per job and reuses it
 //     every round: repeated sets decode at amortized solve-only cost.
 //
+// Who factors, and when (MDS backend). A miss in charge() or a solve
+// builds the entry's `missing` blocks and its p x p reduced matrix, inserts
+// it and counts it, exactly as if it had been factored; the numeric LU is
+// *pending* and runs later, in place, in the same storage. Each entry is
+// factored exactly once, by whichever thread claims it first (an atomic
+// state: ready, pending, claimed, failed):
+//  * the round executor's helper thread, on functional rounds: charge()
+//    calls made after begin_round() queue the entries they leave pending,
+//    and factor_queued() factors them beside the round's decode;
+//  * otherwise the decoding thread, in the first solve that needs it. A
+//    solve that meets an entry the other thread has claimed blocks on the
+//    state (std::atomic::wait) until that thread finishes it.
+// The sim clock reads only factor_cost(), which depends on `missing`
+// alone, so charged latencies do not depend on who factors or when. A
+// cost-only round never factors at all, so it no longer detects a
+// singular recovery system: the functional solve that needs one throws
+// std::domain_error, and the entry stays failed (a pure function of its
+// key, so every later solve on it throws the same). Vandermonde and LT
+// entries have nothing to defer and are ready when built.
+//
 // Cache-key and invalidation contract:
 //  * The key is the responder set as a **sorted worker bitmap** (one bit
 //    per worker, packed into 64-bit words) — identical membership gives an
@@ -39,9 +59,14 @@
 //    DecodeContextStats::evictions). An entry rebuilt after eviction is
 //    the same pure function of its key, so decoded bits never depend on
 //    the bound; only the hit/miss counts and the factorization flops
-//    charge() books for the re-miss do.
-//  * Not thread-safe: one context per engine, engines per sweep cell, and
-//    cells never share state (the matrix runner's determinism contract).
+//    charge() books for the re-miss do. Eviction never recycles an entry
+//    queued in the current round (checked): a round touches far fewer
+//    than kCapacity responder sets, and queued entries are the newest.
+//  * Not thread-safe, with one exception: factor_queued() may run on one
+//    other thread while the owning thread decodes (solve_inplace,
+//    redundant_residual). Otherwise one context per engine, engines per
+//    sweep cell, and cells never share state (the matrix runner's
+//    determinism contract).
 //
 // Cost model (charged flops mirror the numeric work; table and measured
 // speedups in docs/PERFORMANCE.md):
@@ -80,13 +105,17 @@ struct DecodeCharge {
 /// Cumulative cache/cost telemetry. Every lookup — charge() or
 /// solve_inplace() — counts one hit or miss; `entries` is the number of
 /// distinct responder sets resident (<= DecodeContext::kCapacity), and
-/// `evictions` the entries dropped to stay within it. Fingerprints may
-/// hash `entries`; they must never hash `evictions`, which is diagnostics.
+/// `evictions` the entries dropped to stay within it. `factorizations`
+/// counts the numeric LUs actually run, on either thread: 0 on cost-only
+/// runs, one per MDS miss with parity responders on functional ones.
+/// Fingerprints may hash `entries`; they must never hash `evictions` or
+/// `factorizations`, which are diagnostics.
 struct DecodeContextStats {
   std::size_t entries = 0;
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t evictions = 0;
+  std::size_t factorizations = 0;
   double factor_flops = 0.0;  // cumulative factorization cost charged
   double solve_flops = 0.0;   // cumulative solve cost charged
 };
@@ -135,15 +164,28 @@ class DecodeContext {
   /// `columns` RHS columns against it. First sight of a subset pays the
   /// factorization; repeats pay solve cost only — identical cache
   /// semantics to solve_inplace, so cost-only and functional runs charge
-  /// the same latencies.
+  /// the same latencies. The numeric LU is left pending (header comment).
   DecodeCharge charge(std::span<const std::size_t> subset,
                       std::size_t columns);
+
+  /// Starts a round's charges: drops the previous round's queue, and from
+  /// here on charge() queues every entry it returns still pending. A
+  /// context that never calls it queues nothing.
+  void begin_round();
+  /// True when the current round's charges queued a pending entry.
+  [[nodiscard]] bool has_queued() const noexcept { return !queue_.empty(); }
+  /// Factors the queued entries no other thread has claimed, in charge
+  /// order. The one call that may run on another thread beside the owning
+  /// thread's solves. Never throws: a failed factorization marks its entry
+  /// failed, and the solve that needs the entry throws.
+  void factor_queued() noexcept;
 
   /// Numeric entry point: solves  System(subset) · Y = B  in place. `rhs`
   /// is row-major, row j holding the `width` values of responder subset[j];
   /// on return row i holds unknown block i. Factorizations are cached;
-  /// cached and fresh solves are bit-identical (same factors either way).
-  /// Throws std::domain_error if the subset's system is singular.
+  /// cached and fresh solves are bit-identical (same factors either way,
+  /// whichever thread ran them). Throws std::domain_error, leaving `rhs`
+  /// as it was, if the subset's system is singular.
   void solve_inplace(std::span<const std::size_t> subset,
                      std::span<double> rhs_rowmajor, std::size_t width);
 
@@ -198,8 +240,16 @@ class DecodeContext {
   /// the key into the map).
   void make_key(std::span<const std::size_t> subset);
   Entry& acquire(std::span<const std::size_t> subset);
-  /// (Re)computes `e`'s factorization for `subset`, reusing its storage.
+  /// (Re)builds `e` for `subset`, reusing its storage; an MDS entry with
+  /// parity responders comes back pending.
   void build(Entry& e, std::span<const std::size_t> subset) const;
+  /// Runs the LU of an entry the calling thread has claimed, publishes it
+  /// (ready, or failed if it threw) and wakes any waiter. True if ready.
+  bool factor(Entry& e) noexcept;
+  /// Makes `e`'s LU usable on the owning thread: factors it if pending,
+  /// waits while the other thread has it claimed, and throws
+  /// std::domain_error if it failed.
+  void await_factored(Entry& e);
   void unlink(Entry& e);
   void link_newest(Entry& e);
   [[nodiscard]] double solve_cost(const Entry& e, std::size_t columns) const;
@@ -219,6 +269,9 @@ class DecodeContext {
   std::vector<double> perm_scratch_;
   std::vector<double> scratch_verify_;  // redundant_residual's k x width copy
   std::vector<std::uint64_t> key_scratch_;  // make_key's bitmap buffer
+  // The current round's pending entries, in charge order (begin_round).
+  bool queueing_ = false;
+  std::vector<Entry*> queue_;
 };
 
 }  // namespace s2c2::coding

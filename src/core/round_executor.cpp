@@ -460,18 +460,20 @@ void RoundExecutor::charge(sim::RoundStats& stats) {
   // One recovery system per maximal run of consecutive chunks sharing a
   // decode subset. The strategy's context charges the structured
   // factorization only on cache misses; repeated responder sets across
-  // rounds pay solve cost alone (docs/PERFORMANCE.md).
+  // rounds pay solve cost alone (docs/PERFORMANCE.md). A miss's numeric
+  // LU is not run here: the context queues it for learn_and_decode.
   RoundState& s = round_;
   decode_subsets(s, s.subsets);
+  coding::DecodeContext& ctx = decode_context();
+  ctx.begin_round();
   const std::size_t chunks = s.alloc.chunks_per_partition;
   double dec_flops = 0.0;
   for (std::size_t c = 0; c < chunks;) {
     std::size_t e = c + 1;
     while (e < chunks && s.subsets[e] == s.subsets[c]) ++e;
-    dec_flops += decode_context()
-                     .charge(s.subsets[c],
-                             (e - c) * decode_values_per_chunk() * s.width)
-                     .flops;
+    dec_flops +=
+        ctx.charge(s.subsets[c], (e - c) * decode_values_per_chunk() * s.width)
+            .flops;
     c = e;
   }
   stats.coverage = s.coverage;
@@ -573,7 +575,10 @@ void RoundExecutor::record_health(RoundResult& result) {
 void RoundExecutor::learn_and_decode(RoundResult& result, bool functional,
                                      std::span<const double> x,
                                      const linalg::Matrix* x_block) {
-  if (!predictor_ || !functional || util::ThreadPool::in_worker()) {
+  coding::DecodeContext& ctx = decode_context();
+  const bool factor = functional && ctx.has_queued();
+  if (!functional || !(predictor_ || factor) ||
+      util::ThreadPool::in_worker()) {
     if (predictor_) predictor_->observe_all(result.observed_speeds);
     decode(result, functional, x, x_block);
     return;
@@ -589,11 +594,15 @@ void RoundExecutor::learn_and_decode(RoundResult& result, bool functional,
     RoundResult& result;
     std::span<const double> x;
     const linalg::Matrix* x_block;
+    coding::DecodeContext* factor_queued;  // null: nothing queued
     std::exception_ptr decode_error;
-  } tail{result, x, x_block, nullptr};
+  } tail{result, x, x_block, factor ? &ctx : nullptr, nullptr};
   helper.parallel_for(2, [this, &tail](std::size_t i) {
     if (i == 1) {
-      predictor_->observe_all(tail.result.observed_speeds);
+      // Factorizations first: the decode is about to need them. This
+      // never throws; a failed LU surfaces in the decode's solve.
+      if (tail.factor_queued) tail.factor_queued->factor_queued();
+      if (predictor_) predictor_->observe_all(tail.result.observed_speeds);
       return;
     }
     // A failed decode must not stop the update from starting: the

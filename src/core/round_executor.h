@@ -5,8 +5,8 @@
 //   for the conventional strategies, the §4.3 timeout window for the S2C2
 //   family) → wave-based chunk-reassignment recovery → Byzantine verify →
 //   decode-cost charge through the strategy's coding::DecodeContext →
-//   accounting → observed speeds → health pulses → the predictor update
-//   beside the functional decode.
+//   accounting → observed speeds → health pulses → the charged misses'
+//   factorizations and the predictor update beside the functional decode.
 //
 // RoundExecutor::run_round_impl is the only copy of that loop. It calls
 // one private phase method per step, in the order above, and the phases
@@ -277,16 +277,20 @@ class RoundExecutor : public StrategyEngine {
   /// predictor learns them in learn_and_decode.
   void observe(RoundResult& result);
   void record_health(RoundResult& result);
-  /// The round's tail: the predictor's observe_all over the observed
-  /// speeds, and decode(). Neither reads what the other writes, so a
-  /// functional round with a predictor runs them side by side on the
-  /// calling thread's one-worker helper pool, made on that thread's first
-  /// such round; the caller claims index 0, the longer decode. Cost-only
-  /// rounds, oracle speeds and rounds run inside a fan-out body
-  /// (util::ThreadPool::in_worker()) run them serially, update first. The
-  /// next round's predict_all runs after the join, so its bits never
-  /// depend on the thread that ran the update. An exception from either
-  /// is rethrown once both have finished.
+  /// The round's tail: the decode factorizations charge() left queued,
+  /// the predictor's observe_all over the observed speeds, and decode().
+  /// The factorizations and the update read nothing the decode writes, so
+  /// a functional round with either runs them, factorizations first, on
+  /// the calling thread's one-worker helper pool (made on that thread's
+  /// first such round) beside the decode; the caller claims index 0, the
+  /// longer decode, whose solves factor any entry the helper has not
+  /// claimed yet and wait for one it has (coding/decode_context.h).
+  /// Cost-only rounds, rounds with neither, and rounds run inside a
+  /// fan-out body (util::ThreadPool::in_worker()) run serially, update
+  /// first, and the decode factors on demand. The next round's
+  /// predict_all runs after the join, so its bits never depend on the
+  /// thread that ran the update. An exception from either side is
+  /// rethrown once both have finished.
   void learn_and_decode(RoundResult& result, bool functional,
                         std::span<const double> x,
                         const linalg::Matrix* x_block);

@@ -127,11 +127,4 @@ bool strategy_supports_block_rounds(StrategyKind s) {
   return false;
 }
 
-double decode_flops(std::size_t k, std::size_t values, std::size_t groups) {
-  const double kd = static_cast<double>(k);
-  const double lu = 2.0 / 3.0 * kd * kd * kd * static_cast<double>(groups);
-  const double solves = 2.0 * kd * kd * static_cast<double>(values) / kd;
-  return lu + solves;
-}
-
 }  // namespace s2c2::core

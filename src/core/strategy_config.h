@@ -148,14 +148,4 @@ struct EngineConfig {
   return 2.0 * static_cast<double>(rows) * static_cast<double>(cols);
 }
 
-/// The *dense* decode cost: `groups` distinct k x k LU factorizations plus
-/// triangular solves for every reconstructed value — the seed latency
-/// model, O(k³) per fresh responder set. The engines now charge decode
-/// through coding::DecodeContext (Schur-reduced / structured-Vandermonde,
-/// factorizations cached across rounds; see docs/PERFORMANCE.md); this
-/// function remains as the uncached dense reference that
-/// bench_decode_scale and the decode-context tests compare against.
-[[nodiscard]] double decode_flops(std::size_t k, std::size_t values,
-                                  std::size_t groups);
-
 }  // namespace s2c2::core

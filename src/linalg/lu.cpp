@@ -13,8 +13,6 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
   piv_.resize(n);
   for (std::size_t i = 0; i < n; ++i) piv_[i] = i;
 
-  double min_diag = 0.0;
-  double max_diag = 0.0;
   for (std::size_t col = 0; col < n; ++col) {
     // Pivot search.
     std::size_t pivot = col;
@@ -36,12 +34,6 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
       std::swap(piv_[col], piv_[pivot]);
     }
     const double d = lu_(col, col);
-    if (col == 0) {
-      min_diag = max_diag = std::abs(d);
-    } else {
-      min_diag = std::min(min_diag, std::abs(d));
-      max_diag = std::max(max_diag, std::abs(d));
-    }
     for (std::size_t r = col + 1; r < n; ++r) {
       const double mult = lu_(r, col) / d;
       lu_(r, col) = mult;
@@ -51,7 +43,6 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
       }
     }
   }
-  rcond_ = max_diag > 0.0 ? min_diag / max_diag : 0.0;
 }
 
 Vector LuFactorization::solve(std::span<const double> b) const {
@@ -71,14 +62,6 @@ Vector LuFactorization::solve(std::span<const double> b) const {
     for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
     x[ii] = acc / lu_(ii, ii);
   }
-  return x;
-}
-
-Matrix LuFactorization::solve_matrix(const Matrix& b) const {
-  const std::size_t n = dim();
-  S2C2_REQUIRE(b.rows() == n, "LU solve_matrix: rhs rows mismatch");
-  Matrix x = b;
-  solve_inplace(x.mutable_data(), x.cols());
   return x;
 }
 

@@ -27,9 +27,6 @@ class LuFactorization {
   /// Solves A x = b for a single right-hand side.
   [[nodiscard]] Vector solve(std::span<const double> b) const;
 
-  /// Solves A X = B column-block-wise: B is n x m, returns n x m.
-  [[nodiscard]] Matrix solve_matrix(const Matrix& b) const;
-
   /// In-place variant over a row-major RHS laid out as n rows of width m.
   /// Reuses an internal permutation scratch, so steady-state calls are
   /// allocation-free — but NOT safe to call concurrently on one instance
@@ -43,13 +40,9 @@ class LuFactorization {
   void solve_inplace(std::span<double> b_rowmajor, std::size_t width,
                      std::vector<double>& perm_scratch) const;
 
-  /// Crude reciprocal-condition signal: min |U_ii| / max |U_ii|.
-  [[nodiscard]] double rcond_estimate() const noexcept { return rcond_; }
-
  private:
   Matrix lu_;                     // packed L (unit diag) and U
   std::vector<std::size_t> piv_;  // row permutation
-  double rcond_ = 0.0;
   // Retained across solve_inplace calls (resize keeps capacity) so the
   // row-permutation gather never heap-allocates in steady state.
   mutable std::vector<double> perm_scratch_;

@@ -2,12 +2,18 @@
 // reduced solves against the dense-LU reference, cache-key semantics
 // (cached == fresh), charge/cost bookkeeping, the Vandermonde backend, and
 // cache reuse across engine rounds — the property that makes iterative
-// jobs decode at amortized solve-only cost (docs/PERFORMANCE.md).
+// jobs decode at amortized solve-only cost (docs/PERFORMANCE.md) — and the
+// deferred factorization: who runs a pending LU, the failure path, and the
+// eviction guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/coding/decode_context.h"
@@ -16,6 +22,7 @@
 #include "src/linalg/lu.h"
 #include "src/linalg/vandermonde.h"
 #include "src/util/rng.h"
+#include "src/workload/trace_gen.h"
 #include "tests/test_util.h"
 
 namespace s2c2::coding {
@@ -42,6 +49,16 @@ std::vector<double> random_rhs(std::size_t k, std::size_t width,
   std::vector<double> rhs(k * width);
   for (auto& v : rhs) v = rng.normal();
   return rhs;
+}
+
+/// The seed's dense decode cost: `groups` distinct k x k LU factorizations
+/// plus triangular solves for every reconstructed value — O(k³) per fresh
+/// responder set, the uncached reference the cost model is compared to.
+double decode_flops(std::size_t k, std::size_t values, std::size_t groups) {
+  const double kd = static_cast<double>(k);
+  const double lu = 2.0 / 3.0 * kd * kd * kd * static_cast<double>(groups);
+  const double solves = 2.0 * kd * kd * static_cast<double>(values) / kd;
+  return lu + solves;
 }
 
 /// The seed path: dense LU over the full k x k generator row subset.
@@ -157,7 +174,7 @@ TEST(DecodeContext, ChargeAmortizesFactorizationAcrossRepeats) {
   }
   const double dense_total =
       static_cast<double>(rounds) *
-      core::decode_flops(k, k * columns, /*groups=*/1);
+      decode_flops(k, k * columns, /*groups=*/1);
   EXPECT_GT(dense_total / cached_total, 5.0);
 }
 
@@ -388,6 +405,232 @@ TEST(DecodeContext, ClearDropsEntriesAndStats) {
   EXPECT_EQ(ctx.stats().misses, 0u);
   const DecodeCharge again = ctx.charge(subset, 8);
   EXPECT_FALSE(again.cache_hit);  // cleared means refactorize
+}
+
+}  // namespace
+}  // namespace s2c2::coding
+
+namespace s2c2::coding {
+namespace {
+
+/// Parity-bearing k-subsets of an (n, k) code: systematic block `b` is
+/// replaced by the first parity worker, so every system has p = 1 or more.
+std::vector<std::vector<std::size_t>> parity_subsets(std::size_t n,
+                                                     std::size_t k,
+                                                     std::size_t count,
+                                                     util::Rng& rng) {
+  std::vector<std::vector<std::size_t>> out;
+  while (out.size() < count) {
+    auto subset = random_subset(n, k, rng);
+    if (subset.back() < k) continue;  // all systematic: nothing to factor
+    if (std::find(out.begin(), out.end(), subset) == out.end()) {
+      out.push_back(std::move(subset));
+    }
+  }
+  return out;
+}
+
+TEST(DecodeContext, ChargeLeavesTheFactorizationPending) {
+  const GeneratorMatrix g(10, 6);
+  DecodeContext ctx(g);
+  util::Rng rng(28);
+  const auto subset = parity_subsets(10, 6, 1, rng)[0];
+  const DecodeCharge first = ctx.charge(subset, 4);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_GT(ctx.stats().factor_flops, 0.0);  // the clock pays it now
+  EXPECT_EQ(ctx.stats().factorizations, 0u);
+  EXPECT_FALSE(ctx.has_queued());  // no begin_round(): nothing queued
+
+  // The first solve runs the LU; it is a hit, and the bits match a
+  // context that never deferred anything (its solve missed and factored).
+  auto rhs = random_rhs(6, 2, rng);
+  auto fresh_rhs = rhs;
+  ctx.solve_inplace(subset, rhs, 2);
+  EXPECT_EQ(ctx.stats().misses, 1u);
+  EXPECT_EQ(ctx.stats().factorizations, 1u);
+  DecodeContext fresh(g);
+  fresh.solve_inplace(subset, fresh_rhs, 2);
+  EXPECT_EQ(fresh.stats().factorizations, 1u);
+  EXPECT_EQ(rhs, fresh_rhs);
+  ctx.solve_inplace(subset, rhs, 2);
+  EXPECT_EQ(ctx.stats().factorizations, 1u);  // factored exactly once
+}
+
+TEST(DecodeContext, QueuedFactorizationsRunBesideTheSolves) {
+  // The round executor's tail in miniature: one thread factors the
+  // queued entries while this one solves them in charge order. Whichever
+  // thread claims an entry, each is factored once and every solve matches
+  // a serial context bit for bit.
+  const std::size_t n = 48, k = 40, width = 3;
+  const GeneratorMatrix g(n, k);
+  util::Rng rng(29);
+  const auto subsets = parity_subsets(n, k, 16, rng);
+  std::vector<std::vector<double>> rhs;
+  for (std::size_t i = 0; i < subsets.size(); ++i) {
+    rhs.push_back(random_rhs(k, width, rng));
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    DecodeContext serial(g);
+    DecodeContext ctx(g);
+    ctx.begin_round();
+    for (const auto& subset : subsets) (void)ctx.charge(subset, width);
+    ASSERT_TRUE(ctx.has_queued());
+    std::thread helper([&ctx] { ctx.factor_queued(); });
+    for (std::size_t i = 0; i < subsets.size(); ++i) {
+      auto got = rhs[i];
+      auto want = rhs[i];
+      ctx.solve_inplace(subsets[i], got, width);
+      serial.solve_inplace(subsets[i], want, width);
+      ASSERT_EQ(got, want) << "trial " << trial << " subset " << i;
+    }
+    helper.join();
+    EXPECT_EQ(ctx.stats().factorizations, subsets.size());
+    EXPECT_EQ(ctx.stats().misses, subsets.size());
+    EXPECT_EQ(ctx.stats().hits, subsets.size());
+    // A new round drops the queue; nothing is left to factor.
+    ctx.begin_round();
+    EXPECT_FALSE(ctx.has_queued());
+  }
+}
+
+TEST(DecodeContext, SingularSystemFailsTheSolveNotTheCharge) {
+  // No constructor makes a singular parity block, so give two parity
+  // workers the same generator row: any subset holding both is singular.
+  // (`g` is not const, so writing through matrix() is defined.)
+  const std::size_t n = 10, k = 8;
+  GeneratorMatrix g(n, k);
+  auto& rows = const_cast<linalg::Matrix&>(g.matrix());
+  for (std::size_t c = 0; c < k; ++c) rows(k + 1, c) = rows(k, c);
+  std::vector<std::size_t> singular(k);
+  std::iota(singular.begin(), singular.end(), 0);
+  singular[k - 2] = k;
+  singular[k - 1] = k + 1;
+  util::Rng rng(30);
+  const auto rhs = random_rhs(k, 2, rng);
+
+  for (const bool on_helper : {false, true}) {
+    SCOPED_TRACE(on_helper ? "factored on a helper" : "factored in the solve");
+    DecodeContext ctx(g);
+    ctx.begin_round();
+    EXPECT_NO_THROW((void)ctx.charge(singular, 2));  // the clock only
+    if (on_helper) {
+      std::thread helper([&ctx] { ctx.factor_queued(); });  // never throws
+      helper.join();
+    }
+    // The entry ends failed, not pending or claimed: every solve throws
+    // at once and leaves the right-hand side as it was.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto got = rhs;
+      EXPECT_THROW(ctx.solve_inplace(singular, got, 2), std::domain_error);
+      EXPECT_EQ(got, rhs);
+    }
+    EXPECT_EQ(ctx.stats().factorizations, 0u);
+    ctx.factor_queued();  // a failed entry is not retried
+    EXPECT_EQ(ctx.stats().factorizations, 0u);
+  }
+}
+
+TEST(DecodeContext, EvictionNeverRecyclesAnEntryQueuedThisRound) {
+  // A round that queues more than kCapacity responder sets would evict
+  // its own queued entries, which the other thread may be factoring: the
+  // context refuses. A new round may evict the old round's entries, even
+  // pending ones (nothing else can reach them).
+  const std::size_t n = 16, k = 8;
+  const GeneratorMatrix g(n, k);
+  util::Rng rng(31);
+  const auto subsets =
+      parity_subsets(n, k, DecodeContext::kCapacity + 2, rng);
+  DecodeContext ctx(g);
+  ctx.begin_round();
+  for (std::size_t i = 0; i < DecodeContext::kCapacity; ++i) {
+    (void)ctx.charge(subsets[i], 1);
+  }
+  EXPECT_THROW((void)ctx.charge(subsets[DecodeContext::kCapacity], 1),
+               std::logic_error);
+  EXPECT_EQ(ctx.stats().evictions, 0u);
+
+  ctx.begin_round();
+  (void)ctx.charge(subsets[DecodeContext::kCapacity + 1], 1);
+  EXPECT_EQ(ctx.stats().evictions, 1u);
+  EXPECT_EQ(ctx.stats().entries, DecodeContext::kCapacity);
+  EXPECT_EQ(ctx.stats().factorizations, 0u);
+}
+
+// ---- the engine's decode telemetry on recovery rounds --------------------
+
+constexpr std::size_t kRecN = 40, kRecK = 32, kRecChunks = 8, kRecRounds = 40;
+
+/// s2c2 at n = 40, k = 32 on volatile cloud traces: the §4.3 timeout fires
+/// on many rounds and fresh responder sets miss the cache almost every
+/// round. Worker 0 never computes, so no responder set covers block 0 and
+/// every miss has a parity block to factor.
+struct RecoveryRun {
+  DecodeContextStats stats;
+  double end = 0.0;  // the sim clock after the last round
+  std::size_t timeouts = 0;
+};
+
+RecoveryRun run_recovery(bool functional) {
+  util::Rng rng(0x5eed);
+  const linalg::Matrix a =
+      linalg::Matrix::random_uniform(16 * kRecK, 24, rng);
+  const core::CodedMatVecJob job(a, kRecN, kRecK, kRecChunks);
+  linalg::Vector x(a.cols(), 1.0);
+  const linalg::Vector truth = a.matvec(x);
+  core::EngineConfig cfg;
+  cfg.strategy = core::StrategyKind::kS2C2;
+  cfg.chunks_per_partition = kRecChunks;
+  // One trace sample per round of a unit-speed cluster.
+  core::EngineConfig probe = cfg;
+  probe.oracle_speeds = true;
+  const double dt =
+      core::CodedComputeEngine(
+          job, test::make_spec(test::uniform_traces(kRecN)), probe)
+          .run_round()
+          .stats.latency();
+  std::vector<sim::SpeedTrace> traces = workload::traces_from_series(
+      workload::cloud_speed_corpus(kRecN, 4 * kRecRounds,
+                                   workload::volatile_cloud_config(), rng),
+      dt);
+  traces[0] = sim::SpeedTrace::constant(0.0);
+  core::CodedComputeEngine engine(job, test::make_spec(std::move(traces)),
+                                  cfg);
+  RecoveryRun out;
+  for (std::size_t r = 0; r < kRecRounds; ++r) {
+    core::RoundResult res =
+        functional ? engine.run_round(x) : engine.run_round();
+    if (functional) test::expect_close(*res.y, truth, 1e-8);
+    out.end = res.stats.end;
+    if (res.stats.timeout_fired) ++out.timeouts;
+    engine.recycle(std::move(res));
+  }
+  out.stats = engine.decode_stats();
+  return out;
+}
+
+TEST(DecodeContext, CostOnlyRecoveryRoundsChargeButNeverFactor) {
+  const RecoveryRun run = run_recovery(/*functional=*/false);
+  EXPECT_GT(run.timeouts, kRecRounds / 4);
+  // The cache and the clock are what they were when charge() factored
+  // every miss on the spot: these are that code's numbers.
+  EXPECT_EQ(run.stats.hits, 7u);
+  EXPECT_EQ(run.stats.misses, 310u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.stats.factor_flops),
+            0x40ee35bfffffffedull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.end), 0x3f902f4418560ad9ull);
+  EXPECT_EQ(run.stats.factorizations, 0u);
+}
+
+TEST(DecodeContext, FunctionalRecoveryRoundsFactorEveryMissOnce) {
+  const RecoveryRun cost_only = run_recovery(/*functional=*/false);
+  const RecoveryRun run = run_recovery(/*functional=*/true);
+  EXPECT_EQ(run.stats.misses, cost_only.stats.misses);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.stats.factor_flops),
+            std::bit_cast<std::uint64_t>(cost_only.stats.factor_flops));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run.end),
+            std::bit_cast<std::uint64_t>(cost_only.end));
+  EXPECT_EQ(run.stats.evictions, 0u);
+  EXPECT_EQ(run.stats.factorizations, run.stats.misses);
 }
 
 }  // namespace

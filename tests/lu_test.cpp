@@ -36,12 +36,13 @@ TEST(Lu, PermutationMatrixSolve) {
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
-TEST(Lu, SolveMatrixMultipleRhs) {
+TEST(Lu, SolveInplaceMultipleRhs) {
   util::Rng rng(5);
   const Matrix a = Matrix::random_normal(5, 5, rng);
   const Matrix b = Matrix::random_normal(5, 3, rng);
   const LuFactorization lu(a);
-  const Matrix x = lu.solve_matrix(b);
+  Matrix x = b;
+  lu.solve_inplace(x.mutable_data(), x.cols());
   const Matrix residual = a.matmul(x);
   EXPECT_LT(residual.max_abs_diff(b), 1e-9);
 }
@@ -51,18 +52,6 @@ TEST(Lu, SolveInplaceLayoutValidation) {
   const LuFactorization lu(a);
   std::vector<double> rhs(5, 1.0);  // not 3 * width for any width
   EXPECT_THROW(lu.solve_inplace(rhs, 2), std::invalid_argument);
-}
-
-TEST(Lu, RcondIdentityIsOne) {
-  const LuFactorization lu(Matrix::identity(4));
-  EXPECT_DOUBLE_EQ(lu.rcond_estimate(), 1.0);
-}
-
-TEST(Lu, RcondDetectsBadScaling) {
-  Matrix a = Matrix::identity(3);
-  a(2, 2) = 1e-12;
-  const LuFactorization lu(a);
-  EXPECT_LT(lu.rcond_estimate(), 1e-10);
 }
 
 // Property sweep: random systems solve to small residual across sizes.
